@@ -22,7 +22,7 @@ from .families import (
     bpp_power_instance,
     rackoff_counterexample,
 )
-from .fsa import Fsa, decide, enumerate_words, make_fsa, minimal_dfa_size, saturate_down, saturate_up
+from .fsa import Fsa, enumerate_words, make_fsa, minimal_dfa_size, saturate_down, saturate_up
 from .nets import (
     EPSILON,
     Marking,

@@ -4,6 +4,10 @@ Upward closures come from length-bounded under-approximations saturated with
 letter self-loops; the certified length bound follows the classical recurrence
 over the number of places.  Downward closures use the cutoff abstraction for
 communication-free nets and the coverability graph in general.
+
+One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
+``reachability_fsa`` over markings and ``dc_fsa_bpp`` over cutoff-abstracted
+markings; ``dc_fsa_pn`` reads the accelerated search's graph (``km_graph``).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, CertifiedBoundTooLarge, NotBpp
 from .fsa import Fsa, equivalent, saturate_up
 from .nets import EPSILON, NetInstance, fire, is_bpp
-from .reach import OMEGA, km_graph, om_covers_marking
+from .reach import OMEGA, km_graph, om_covers_marking, om_fire
 
 #: Materializing integers beyond this many bits is pointless for desk work.
 MAX_VALUE_BITS = 10**7
@@ -110,6 +114,40 @@ def bpp_cutoff_bound(inst: NetInstance) -> BoundReport:
     return BoundReport("bpp_cutoff_c", value, _instance_inputs(inst))
 
 
+def _explore(alphabet, start, successors, accepting, max_states, budget_kind) -> Fsa:
+    """Breadth-first automaton of the states reachable from start.
+
+    ``successors(q)`` yields (label, target) pairs; every one becomes an edge.
+    A new state beyond ``max_states`` raises BudgetExceeded(budget_kind).
+    """
+    states = {start}
+    transitions = set()
+    finals = set()
+    queue = deque([start])
+    while queue:
+        q = queue.popleft()
+        if accepting(q):
+            finals.add(q)
+        for label, target in successors(q):
+            transitions.add((q, label, target))
+            if target not in states:
+                if len(states) >= max_states:
+                    raise BudgetExceeded(budget_kind, max_states)
+                states.add(target)
+                queue.append(target)
+    return Fsa(alphabet, frozenset(states), frozenset(transitions), start, frozenset(finals))
+
+
+def _fired(net, m):
+    """(label, successor marking) for every transition enabled at m."""
+    for t in net.transitions:
+        try:
+            nxt = fire(net, m, t.name)
+        except Exception:
+            continue
+        yield t.label, nxt
+
+
 def k_bounded_fsa(inst: NetInstance, k: int, max_states: int = 2_000_000) -> Fsa:
     """Automaton for the words of covering runs of length at most k.
 
@@ -117,31 +155,21 @@ def k_bounded_fsa(inst: NetInstance, k: int, max_states: int = 2_000_000) -> Fsa
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    net = inst.net
-    start = (inst.initial, 0)
-    states = {start}
-    transitions = set()
-    finals = set()
-    queue = deque([start])
-    while queue:
-        m, i = queue.popleft()
-        if m.covers(inst.final):
-            finals.add((m, i))
-        if i == k:
-            continue
-        for t in net.transitions:
-            try:
-                nxt = fire(net, m, t.name)
-            except Exception:
-                continue
-            target = (nxt, i + 1)
-            transitions.add(((m, i), t.label, target))
-            if target not in states:
-                if len(states) >= max_states:
-                    raise BudgetExceeded("bounded-run states", max_states)
-                states.add(target)
-                queue.append(target)
-    return Fsa(net.alphabet, frozenset(states), frozenset(transitions), start, frozenset(finals))
+
+    def successors(state):
+        m, i = state
+        if i < k:
+            for label, nxt in _fired(inst.net, m):
+                yield label, (nxt, i + 1)
+
+    return _explore(
+        inst.net.alphabet,
+        (inst.initial, 0),
+        successors,
+        lambda state: state[0].covers(inst.final),
+        max_states,
+        "bounded-run states",
+    )
 
 
 def reachability_fsa(inst: NetInstance, max_states: int = 200_000) -> Fsa | None:
@@ -149,28 +177,17 @@ def reachability_fsa(inst: NetInstance, max_states: int = 200_000) -> Fsa | None
 
     When it exists, its language is exactly the coverability language.
     """
-    net = inst.net
-    start = inst.initial
-    states = {start}
-    transitions = set()
-    finals = set()
-    queue = deque([start])
-    while queue:
-        m = queue.popleft()
-        if m.covers(inst.final):
-            finals.add(m)
-        for t in net.transitions:
-            try:
-                nxt = fire(net, m, t.name)
-            except Exception:
-                continue
-            transitions.add((m, t.label, nxt))
-            if nxt not in states:
-                if len(states) >= max_states:
-                    return None
-                states.add(nxt)
-                queue.append(nxt)
-    return Fsa(net.alphabet, frozenset(states), frozenset(transitions), start, frozenset(finals))
+    try:
+        return _explore(
+            inst.net.alphabet,
+            inst.initial,
+            lambda m: _fired(inst.net, m),
+            lambda m: m.covers(inst.final),
+            max_states,
+            "reachable states",
+        )
+    except BudgetExceeded:
+        return None
 
 
 @dataclass(frozen=True)
@@ -252,13 +269,6 @@ def uc_fsa_bpp(inst: NetInstance, max_states: int = 200_000) -> Fsa:
     return saturate_up(k_bounded_fsa(inst, k, max_states))
 
 
-def _omega_apply(value, pre_w: int, post_w: int, threshold: int):
-    if value is OMEGA:
-        return OMEGA
-    out = value - pre_w + post_w
-    return OMEGA if out >= threshold else out
-
-
 def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
     """Exact downward closure for communication-free nets via the cutoff
     abstraction: token counts at or beyond the pumpability threshold collapse
@@ -275,35 +285,25 @@ def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
         max(inst.final.counts, default=0) + 1,
         1,
     )
-    idx = net.place_index
-    start = tuple(inst.initial.counts)
-    states = {start}
-    transitions = set()
-    finals = set()
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        if om_covers_marking(q, inst.final):
-            finals.add(q)
+
+    def successors(q):
         for t in net.transitions:
-            pre = t.pre_map
-            post = t.post_map
-            if any(
-                q[idx[p]] is not OMEGA and q[idx[p]] < w for p, w in pre.items()
-            ):
-                continue
-            target = tuple(
-                _omega_apply(v, pre.get(p, 0), post.get(p, 0), threshold)
-                for p, v in zip(net.places, q)
-            )
-            transitions.add((q, t.label, target))
-            transitions.add((q, EPSILON, target))
-            if target not in states:
-                if len(states) >= max_states:
-                    raise BudgetExceeded("cutoff abstraction states", max_states)
-                states.add(target)
-                queue.append(target)
-    return Fsa(net.alphabet, frozenset(states), frozenset(transitions), start, frozenset(finals))
+            fired = om_fire(net, q, t.name)
+            if fired is not None:
+                target = tuple(
+                    OMEGA if v is not OMEGA and v >= threshold else v for v in fired
+                )
+                yield t.label, target
+                yield EPSILON, target
+
+    return _explore(
+        net.alphabet,
+        tuple(inst.initial.counts),
+        successors,
+        lambda q: om_covers_marking(q, inst.final),
+        max_states,
+        "cutoff abstraction states",
+    )
 
 
 def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:

@@ -178,28 +178,8 @@ def included(a: Fsa, b: Fsa):
     return True, None
 
 
-def decide(a: Fsa, b: Fsa | None, query: str, w=None):
-    """Uniform decision front-end.
-
-    query in {"inclusion", "equivalence", "emptiness", "membership"}; binary
-    queries take b, membership takes w.  Returns (answer, counterexample).
-    """
-    if query == "membership":
-        return accepts(a, w), None
-    if query == "emptiness":
-        return is_empty(a)
-    if query == "inclusion":
-        return included(a, b)
-    if query == "equivalence":
-        ok, ce = included(a, b)
-        if not ok:
-            return False, ce
-        return included(b, a)
-    raise ValueError(f"unknown query {query!r}")
-
-
 def equivalent(a: Fsa, b: Fsa) -> bool:
-    return decide(a, b, "equivalence")[0]
+    return included(a, b)[0] and included(b, a)[0]
 
 
 def determinize(a: Fsa):
@@ -289,9 +269,3 @@ def trim_coaccessible(a: Fsa) -> Fsa | None:
     trans = {(q, x, q2) for q, x, q2 in a.transitions if q in alive and q2 in alive}
     return Fsa(a.alphabet, frozenset(alive), frozenset(trans), a.initial, a.finals)
 
-
-def relabel(a: Fsa, alphabet) -> Fsa:
-    """Same structure over a wider alphabet."""
-    if not set(a.alphabet) <= set(alphabet):
-        raise AlphabetMismatch("relabel cannot drop letters")
-    return Fsa(tuple(alphabet), a.states, a.transitions, a.initial, a.finals)

@@ -181,12 +181,6 @@ class NetInstance:
         )
 
 
-def enabled(net: PetriNet, m: Marking, name: str) -> bool:
-    t = net.transition(name)
-    idx = net.place_index
-    return all(m.counts[idx[p]] >= w for p, w in t.pre)
-
-
 def fire(net: PetriNet, m: Marking, name: str) -> Marking:
     """Fire one transition; raises NotEnabled on a token deficit."""
     t = net.transition(name)

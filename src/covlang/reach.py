@@ -1,6 +1,11 @@
 """Decision engines: backward coverability, Karp-Miller graph, simultaneous
 unboundedness, membership oracles, and the bounded brute-force explorer used
 as a test oracle.
+
+One accelerated search over omega-markings serves ``km_graph`` (the whole
+graph), ``simultaneously_unbounded`` (stops at the first node that is omega on
+every target place) and ``trace_inclusion.silent_closure`` (silent transitions
+only, from several roots).
 """
 
 from __future__ import annotations
@@ -33,10 +38,6 @@ OMEGA = _Omega()
 
 #: An omega-marking is a tuple over int | OMEGA aligned with the net's places.
 OmegaMarking = tuple
-
-
-def om_is_omega(v) -> bool:
-    return v is OMEGA
 
 
 def om_geq(a, b) -> bool:
@@ -98,11 +99,76 @@ class KmGraph:
     nodes: tuple
     edges: tuple  # (source-index, transition-name, target-index)
     root: int
-    node_index: dict
     complete: bool = True
 
     def covering_nodes(self, m: Marking):
         return [i for i, node in enumerate(self.nodes) if om_covers_marking(node, m)]
+
+
+@dataclass
+class _Search:
+    """Outcome of an accelerated search; node indices follow discovery order."""
+
+    nodes: list  # omega-markings, roots first
+    parents: list  # None for a root, else (parent-index, transition-name, accelerated)
+    edges: list  # (source-index, transition-name, target-index)
+    complete: bool = True
+    found: bool = False  # stopped at a node satisfying the stop predicate
+
+
+def _accelerated_search(
+    net: PetriNet, roots, names, max_nodes: int, budget_kind: str, stop=None, partial=False
+) -> _Search:
+    """Breadth-first Karp-Miller search from the given omega-markings, firing
+    the named transitions in order.
+
+    Identical omega-markings are merged.  Each successor is accelerated
+    against its chain of first-discovery ancestors, walked from parent
+    pointers.  The search ends at the first node (a root included) satisfying
+    ``stop``.  A new node beyond ``max_nodes`` raises BudgetExceeded, or with
+    partial=True is dropped and the search flagged incomplete.
+    """
+    search = _Search([], [], [])
+    nodes, parents = search.nodes, search.parents
+    index = {}
+    for root in roots:
+        if root not in index:
+            index[root] = len(nodes)
+            nodes.append(root)
+            parents.append(None)
+            if stop is not None and stop(root):
+                search.found = True
+                return search
+    frontier = deque(range(len(nodes)))
+    while frontier:
+        i = frontier.popleft()
+        chain = [nodes[i]]
+        step = parents[i]
+        while step is not None:
+            chain.append(nodes[step[0]])
+            step = parents[step[0]]
+        chain.reverse()
+        for name in names:
+            succ = om_fire(net, nodes[i], name)
+            if succ is None:
+                continue
+            accel = om_accelerate(succ, chain)
+            target = index.get(accel)
+            if target is None:
+                if stop is not None and stop(accel):
+                    search.found = True
+                    return search
+                if len(nodes) >= max_nodes:
+                    if not partial:
+                        raise BudgetExceeded(budget_kind, max_nodes)
+                    search.complete = False
+                    continue
+                target = index[accel] = len(nodes)
+                nodes.append(accel)
+                parents.append((i, name, accel != succ))
+                frontier.append(target)
+            search.edges.append((i, name, target))
+    return search
 
 
 def km_graph(
@@ -114,31 +180,11 @@ def km_graph(
     With partial=True a budget overrun returns the explored prefix instead of
     raising; the result is then flagged incomplete.
     """
-    root = tuple(m0.counts)
-    index = {root: 0}
-    nodes = [root]
-    edges = []
-    frontier = deque([(root, (root,))])
     names = [t.name for t in net.transitions]
-    complete = True
-    while frontier:
-        current, path = frontier.popleft()
-        for name in names:
-            succ = om_fire(net, current, name)
-            if succ is None:
-                continue
-            succ = om_accelerate(succ, path)
-            if succ not in index:
-                if len(nodes) >= max_nodes:
-                    if not partial:
-                        raise BudgetExceeded("karp-miller nodes", max_nodes)
-                    complete = False
-                    continue
-                index[succ] = len(nodes)
-                nodes.append(succ)
-                frontier.append((succ, path + (succ,)))
-            edges.append((index[current], name, index[succ]))
-    return KmGraph(tuple(nodes), tuple(edges), 0, index, complete)
+    search = _accelerated_search(
+        net, [tuple(m0.counts)], names, max_nodes, "karp-miller nodes", partial=partial
+    )
+    return KmGraph(tuple(search.nodes), tuple(search.edges), 0, search.complete)
 
 
 def simultaneously_unbounded(
@@ -156,30 +202,10 @@ def simultaneously_unbounded(
     def hit(node):
         return all(node[i] is OMEGA for i in targets)
 
-    root = tuple(m0.counts)
-    if hit(root):
-        return True
-    index = {root}
-    frontier = deque([(root, (root,))])
     names = [t.name for t in net.transitions]
-    count = 1
-    while frontier:
-        current, path = frontier.popleft()
-        for name in names:
-            succ = om_fire(net, current, name)
-            if succ is None:
-                continue
-            succ = om_accelerate(succ, path)
-            if succ in index:
-                continue
-            if hit(succ):
-                return True
-            if count >= max_nodes:
-                raise BudgetExceeded("karp-miller nodes", max_nodes)
-            index.add(succ)
-            count += 1
-            frontier.append((succ, path + (succ,)))
-    return False
+    return _accelerated_search(
+        net, [tuple(m0.counts)], names, max_nodes, "karp-miller nodes", stop=hit
+    ).found
 
 
 # Backward coverability
@@ -256,7 +282,6 @@ def coverable(inst: NetInstance):
                 if goal.insert(pre):
                     chain[pre] = (t.name, b)
                     new_frontier.append(pre)
-        assert goal.is_antichain()
         frontier = new_frontier
         witness = extract()
         if witness is not None:
@@ -319,7 +344,7 @@ def brute_force_language(inst: NetInstance, k: int) -> set:
             for t in net.transitions:
                 try:
                     nxt = fire(net, m, t.name)
-                except Exception:
+                except NotEnabled:
                     continue
                 suffixes = explore(nxt, remaining - 1)
                 if t.label == EPSILON:

@@ -5,6 +5,8 @@ The exploration pairs determinized automaton states with antichains of maximal
 omega-markings reachable on the same trace.  Silent net transitions are closed
 off with acceleration, so silent pumps become omega and the tree stays finite;
 nodes dominating an ancestor with the same automaton component are pruned.
+The silent closure is the accelerated search of ``reach``, restricted to
+silent transitions and started from every marking of the antichain.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .nets import (
     append_final_letter,
     is_bpp,
 )
-from .reach import om_accelerate, om_fire, om_geq
+from .reach import _accelerated_search, om_fire, om_geq
 
 
 def _maximal(markings) -> tuple:
@@ -43,29 +45,21 @@ def silent_closure(net: PetriNet, markings, max_nodes: int = 50_000):
     Silent pumps preserve the trace, so a place they can grow without bound is
     exact as omega for trace matching.  Returns (antichain, certificates);
     each certificate maps a closure marking to (source, fired-sequence,
-    accelerated-flags) for replay in tests.
+    accelerated-flag of the last step) for replay in tests: fire the sequence
+    from the source, accelerating each step against the markings replayed so
+    far.
     """
     silent = [t.name for t in net.transitions if t.label == EPSILON]
-    seen = {}
-    frontier = deque()
-    for m in markings:
-        if m not in seen:
-            seen[m] = (m, (), False)
-            frontier.append((m, (m,), m, ()))
-    while frontier:
-        current, path, source, fired = frontier.popleft()
-        for name in silent:
-            succ = om_fire(net, current, name)
-            if succ is None:
-                continue
-            accel = om_accelerate(succ, path)
-            if accel in seen:
-                continue
-            if len(seen) >= max_nodes:
-                raise BudgetExceeded("silent-closure nodes", max_nodes)
-            seen[accel] = (source, fired + (name,), accel != succ)
-            frontier.append((accel, path + (accel,), source, fired + (name,)))
-    return _maximal(seen.keys()), seen
+    search = _accelerated_search(net, markings, silent, max_nodes, "silent-closure nodes")
+    certificates = {}
+    for node, step in zip(search.nodes, search.parents):
+        if step is None:
+            certificates[node] = (node, (), False)
+        else:
+            parent, name, accelerated = step
+            source, fired, _ = certificates[search.nodes[parent]]
+            certificates[node] = (source, fired + (name,), accelerated)
+    return _maximal(search.nodes), certificates
 
 
 def _net_steps(net: PetriNet):
@@ -185,7 +179,8 @@ def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000)
     if ok:
         return True, None
     word = _extend_to_acceptance(ended, trace)
-    assert word[-1] == fresh
+    if word[-1] != fresh:
+        raise RuntimeError(f"counterexample {word!r} does not end with {fresh!r}")
     return False, word[:-1]
 
 

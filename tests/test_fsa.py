@@ -7,7 +7,6 @@ from corpus import random_fsa
 from covlang.errors import AlphabetMismatch
 from covlang.fsa import (
     accepts,
-    decide,
     empty_fsa,
     enumerate_words,
     equivalent,
@@ -99,20 +98,20 @@ def _embeds_into_accepted_word(a, w):
 class TestDecide:
     def test_word_inside_its_upward_closure(self):
         a = word_fsa(("a", "b"), ("a", "b"))
-        assert decide(a, saturate_up(a), "inclusion")[0]
+        assert included(a, saturate_up(a))[0]
 
     def test_saturation_idempotence_via_equivalence(self):
         rng = random.Random(9)
         for _ in range(10):
             a = saturate_up(random_fsa(rng))
-            assert decide(a, saturate_up(a), "equivalence")[0]
+            assert equivalent(a, saturate_up(a))
 
     def test_membership_in_power_dc(self, power2):
         from covlang.closures import dc_fsa_bpp
 
         dc = dc_fsa_bpp(power2)
-        assert decide(dc, None, "membership", ("a",) * 4)[0]
-        assert not decide(dc, None, "membership", ("a",) * 5)[0]
+        assert accepts(dc, ("a",) * 4)
+        assert not accepts(dc, ("a",) * 5)
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from corpus import random_net
 from covlang.errors import BudgetExceeded
+from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 from covlang.nets import (
     Marking,
     NetInstance,
@@ -121,6 +123,31 @@ class TestKmGraph:
                 )
 
 
+def _seeded_nets(count=400):
+    rng = random.Random(2024)
+    return [random_net(rng, max_places=4, max_transitions=4) for _ in range(count)]
+
+
+class TestKmGolden:
+    # sha256 of these graphs as km_graph built them before it shared its
+    # search loop with simultaneously_unbounded and silent_closure
+    DIGEST = "b89d9008ae1e38fdb67febb35c53d542f3efadc9fafc63b662b8935f380a14e2"
+
+    def test_graphs_match_golden_digest(self):
+        runs = [(inst, 5_000) for inst in _seeded_nets()]
+        runs += [
+            (rackoff_counterexample(), 5_000),
+            (bpp_power_instance(4), 5_000),
+            (ackermann_instance(1, 2), 5_000),
+            (ackermann_instance(2, 1), 300),  # stops partial
+        ]
+        digest = hashlib.sha256()
+        for inst, budget in runs:
+            graph = km_graph(inst.net, inst.initial, max_nodes=budget, partial=True)
+            digest.update(repr((graph.nodes, graph.edges, graph.complete)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestSuppn:
     def test_vacuous(self, power2):
         assert simultaneously_unbounded(power2.net, power2.initial, [])
@@ -130,6 +157,20 @@ class TestSuppn:
 
     def test_pumpable_place(self, rackoff_ce):
         assert simultaneously_unbounded(rackoff_ce.net, rackoff_ce.initial, ["temp"])
+
+    def test_agrees_with_omega_places_of_the_km_graph(self):
+        pairs = unbounded = 0
+        for inst in _seeded_nets():
+            graph = km_graph(inst.net, inst.initial, max_nodes=5_000, partial=True)
+            if not graph.complete:
+                continue
+            for i, p in enumerate(inst.net.places):
+                expected = any(node[i] is OMEGA for node in graph.nodes)
+                assert simultaneously_unbounded(inst.net, inst.initial, [p]) == expected
+                pairs += 1
+                unbounded += expected
+        assert pairs >= 1_000
+        assert 0 < unbounded < pairs
 
 
 class TestMember:

@@ -13,7 +13,7 @@ from covlang.nets import (
     Transition,
     fire,
 )
-from covlang.reach import OMEGA, member
+from covlang.reach import OMEGA, member, om_accelerate, om_fire
 from covlang.trace_inclusion import (
     is_closed,
     net_has_trace,
@@ -157,6 +157,29 @@ class TestSilentClosure:
                         target,
                         demand,
                     )
+
+    def test_certificates_replay_to_their_nodes(self):
+        rng = random.Random(96)
+        replayed = accelerated = chained = 0
+        for _ in range(200):
+            inst = random_net(rng, eps_ratio=0.6)
+            roots = [tuple(inst.initial.counts), tuple(inst.final.counts)]
+            _closure, certs = silent_closure(inst.net, roots)
+            for node, (source, fired, flag) in certs.items():
+                assert source in roots
+                path = [source]
+                last = False
+                for name in fired:
+                    succ = om_fire(inst.net, path[-1], name)
+                    assert succ is not None
+                    path.append(om_accelerate(succ, path))
+                    last = path[-1] != succ
+                assert path[-1] == node
+                assert last == flag
+                replayed += 1
+                accelerated += flag
+                chained += len(fired) > 1
+        assert replayed > 400 and accelerated > 50 and chained > 30
 
 
 def _silent_run_reaches(net, start, goal, max_states=60_000):
