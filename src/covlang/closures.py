@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CertifiedBoundTooLarge, NotBpp
-from .fsa import Fsa, equivalent, saturate_up
+from .fsa import Fsa, included, saturate_up
 from .nets import EPSILON, NetInstance, fire, is_bpp
 from .reach import OMEGA, km_graph, om_covers_marking, om_fire
 
@@ -112,6 +112,19 @@ def bpp_cutoff_bound(inst: NetInstance) -> BoundReport:
         len(net.places) * net.max_arc_weight()
     ) ** (len(net.transitions) + 1)
     return BoundReport("bpp_cutoff_c", value, _instance_inputs(inst))
+
+
+def pump_threshold(inst: NetInstance) -> int:
+    """Token threshold beyond which a place of a communication-free net is
+    pumpable.  Any threshold at or above the cutoff bound keeps the cutoff
+    abstraction exact; raising it above the marking maxima guards nets with
+    degenerate flow."""
+    return max(
+        bpp_cutoff_bound(inst).value,
+        max(inst.initial.counts, default=0) + 1,
+        max(inst.final.counts, default=0) + 1,
+        1,
+    )
 
 
 def _explore(alphabet, start, successors, accepting, max_states, budget_kind) -> Fsa:
@@ -239,7 +252,9 @@ def uc_fsa(
         step = 2
         while step <= k_cap:
             nxt = saturate_up(k_bounded_fsa(inst, step, max_states))
-            if equivalent(current, nxt):
+            # saturate_up(k_bounded_fsa(inst, k)) only grows with k, so
+            # current <= nxt holds and one inclusion decides equivalence
+            if included(nxt, current)[0]:
                 stable += 1
             else:
                 stable = 0
@@ -274,17 +289,8 @@ def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
     abstraction: token counts at or beyond the pumpability threshold collapse
     to omega, and every transition also gets a silent variant.
     """
-    report = bpp_cutoff_bound(inst)
     net = inst.net
-    # any threshold at or above the pumpability constant keeps the automaton
-    # exact; raising it above the marking maxima guards degenerate nets with
-    # zero-weight flow
-    threshold = max(
-        report.value,
-        max(inst.initial.counts, default=0) + 1,
-        max(inst.final.counts, default=0) + 1,
-        1,
-    )
+    threshold = pump_threshold(inst)
 
     def successors(q):
         for t in net.transitions:

@@ -1,9 +1,14 @@
 """Existential Presburger arithmetic over natural-valued variables.
 
-Terms live in the integers, variables in the naturals.  The bounded solver is
-sound and complete within its box: tiny problems go through exhaustive
-enumeration, everything else through a big-M integer program (scipy/HiGHS)
-whose models are re-checked symbolically before being returned.
+Terms live in the integers, variables in the naturals.  A term is one linear
+form, a constant plus a sorted tuple of (variable, coefficient) pairs, so its
+size does not depend on the size of its coefficients; ``Var``, ``Const``,
+``Add``, ``Sub`` and ``Scale`` build it.  The bounded solver is sound within
+its box: tiny problems go through exhaustive enumeration, everything else
+through a big-M integer program (scipy/HiGHS) whose models are re-checked
+symbolically before being returned.  When HiGHS cannot answer (time limit,
+failure, numbers beyond exact float64, a model that fails the re-check) it
+raises SolverUnavailable instead of reporting no model.
 """
 
 from __future__ import annotations
@@ -18,29 +23,53 @@ from .errors import NotBpp, SolverUnavailable, UnboundVariable
 from .nets import Marking, PetriNet
 from . import nets as _nets
 
+#: Seconds either backend may spend on one query: HiGHS for the built-in
+#: solver, the subprocess for an external one.
+SOLVER_SECONDS = 60.0
+#: Largest integer float64 holds exactly; beyond it the integer program's
+#: rows no longer state the formula.
+EXACT_FLOAT_LIMIT = 2**53
+
 # Terms
 
 
 @dataclass(frozen=True)
-class Var:
-    name: str
+class Term:
+    """The linear form sum(k * v for v, k in coeffs) + const.
+
+    ``coeffs`` is sorted by variable name and holds no zero coefficient, so two
+    terms are equal exactly when they denote the same form.
+    """
+
+    coeffs: tuple = ()
+    const: int = 0
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+def _form(coeffs: dict, const: int) -> Term:
+    return Term(tuple(sorted((v, k) for v, k in coeffs.items() if k)), const)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+def Var(name: str) -> Term:
+    return Term(((name, 1),))
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+def Const(value: int) -> Term:
+    return Term((), value)
+
+
+def Scale(k: int, t: Term) -> Term:
+    return _form({v: k * c for v, c in t.coeffs}, k * t.const)
+
+
+def Add(left: Term, right: Term) -> Term:
+    coeffs = dict(left.coeffs)
+    for v, k in right.coeffs:
+        coeffs[v] = coeffs.get(v, 0) + k
+    return _form(coeffs, left.const + right.const)
+
+
+def Sub(left: Term, right: Term) -> Term:
+    return Add(left, Scale(-1, right))
 
 
 ZERO = Const(0)
@@ -121,11 +150,7 @@ def exists(names, body):
 
 
 def term_vars(t) -> set:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Const):
-        return set()
-    return term_vars(t.left) | term_vars(t.right)
+    return {v for v, _k in t.coeffs}
 
 
 def free_vars(f) -> set:
@@ -141,28 +166,21 @@ def free_vars(f) -> set:
 
 
 def eval_term(t, asg) -> int:
-    if isinstance(t, Var):
-        if t.name not in asg:
-            raise UnboundVariable(t.name)
-        return asg[t.name]
-    if isinstance(t, Const):
-        return t.value
-    if isinstance(t, Add):
-        return eval_term(t.left, asg) + eval_term(t.right, asg)
-    if isinstance(t, Sub):
-        return eval_term(t.left, asg) - eval_term(t.right, asg)
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        return t.const + sum(k * asg[v] for v, k in t.coeffs)
+    except KeyError as err:
+        raise UnboundVariable(err.args[0]) from None
 
 
-def evaluate(f, asg, exists_window: int | None = None) -> bool:
+def evaluate(f, asg) -> bool:
     """Standard semantics; existential quantifiers search [0..window].
 
-    The default window adapts to the constants of the formula and the values
-    of the assignment, which is enough for the formulas built in this package;
-    callers with deeper quantification should pass an explicit window.
+    The window grows with the constants and coefficients of the formula and
+    the values of the assignment.  It is a heuristic, not a decision procedure:
+    the solvers evaluate only flattened, quantifier-free formulas, where it
+    plays no part.
     """
-    if exists_window is None:
-        exists_window = 2 * (_max_const(f) + max([0, *map(abs, asg.values())])) + 8
+    exists_window = 2 * (_max_const(f) + max([0, *map(abs, asg.values())])) + 8
     if any(v < 0 for v in asg.values()):
         raise ValueError("variables range over naturals")
 
@@ -186,11 +204,7 @@ def evaluate(f, asg, exists_window: int | None = None) -> bool:
 
 def _max_const(f) -> int:
     def term_max(t):
-        if isinstance(t, Const):
-            return abs(t.value)
-        if isinstance(t, Var):
-            return 0
-        return max(term_max(t.left), term_max(t.right))
+        return max([abs(t.const), *(abs(k) for _v, k in t.coeffs)])
 
     if isinstance(f, Leq):
         return max(term_max(f.left), term_max(f.right))
@@ -203,34 +217,13 @@ def _max_const(f) -> int:
     return 0
 
 
-def _substitute_var(f, old: str, new: str):
-    def in_term(t):
-        if isinstance(t, Var):
-            return Var(new) if t.name == old else t
-        if isinstance(t, Const):
-            return t
-        return type(t)(in_term(t.left), in_term(t.right))
-
-    if isinstance(f, Leq):
-        return Leq(in_term(f.left), in_term(f.right))
-    if isinstance(f, Not):
-        return Not(_substitute_var(f.body, old, new))
-    if isinstance(f, (Or, And)):
-        return type(f)(
-            _substitute_var(f.left, old, new), _substitute_var(f.right, old, new)
-        )
-    if isinstance(f, Exists):
-        if f.var == old:
-            return f
-        return Exists(f.var, _substitute_var(f.body, old, new))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def flatten_exists(f):
     """Rename existential variables apart and strip the quantifiers.
 
     Returns (quantifier-free formula, renaming {fresh: original}).  Fails on
     quantifiers under negation: the fragment here is purely existential.
+    One descent carries the binders in scope that got a new name; subformulas
+    under no such binder come back unchanged, not rebuilt.
     """
     renaming = {}
     used = set(free_vars(f))
@@ -243,37 +236,27 @@ def flatten_exists(f):
         used.add(name)
         return name
 
-    def go(f, positive):
+    def rename(t, scope):
+        return _form({scope.get(v, v): k for v, k in t.coeffs}, t.const)
+
+    def go(f, positive, scope):
         if isinstance(f, Leq):
-            return f
+            return Leq(rename(f.left, scope), rename(f.right, scope)) if scope else f
         if isinstance(f, Not):
-            return Not(go(f.body, not positive))
+            body = go(f.body, not positive, scope)
+            return f if body is f.body else Not(body)
         if isinstance(f, (Or, And)):
-            return type(f)(go(f.left, positive), go(f.right, positive))
+            left, right = go(f.left, positive, scope), go(f.right, positive, scope)
+            return f if left is f.left and right is f.right else type(f)(left, right)
         if isinstance(f, Exists):
             if not positive:
                 raise ValueError("existential quantifier under negation")
             name = fresh(f.var)
             renaming[name] = f.var
-            return go(_substitute_var(f.body, f.var, name), positive)
+            return go(f.body, positive, scope if name == f.var else {**scope, f.var: name})
         raise TypeError(f"not a formula: {f!r}")
 
-    return go(f, True), renaming
-
-
-def _linearize(term) -> tuple[dict, int]:
-    """Term as (coefficients, constant)."""
-    if isinstance(term, Var):
-        return {term.name: 1}, 0
-    if isinstance(term, Const):
-        return {}, term.value
-    lc, lk = _linearize(term.left)
-    rc, rk = _linearize(term.right)
-    sign = 1 if isinstance(term, Add) else -1
-    coeffs = dict(lc)
-    for v, c in rc.items():
-        coeffs[v] = coeffs.get(v, 0) + sign * c
-    return coeffs, lk + sign * rk
+    return go(f, True, {}), renaming
 
 
 def _to_nnf(f):
@@ -318,27 +301,30 @@ def _present_model(asg, renaming, original_free):
     return result
 
 
-def solve_bounded(f, bound: int, prefer_exhaustive: bool = False):
+def solve_bounded(f, bound: int):
     """Find an assignment in [0..bound]^vars satisfying f, or None.
 
-    None means no solution inside the box, not unsatisfiability.
+    None means no solution inside the box, not unsatisfiability.  Raises
+    SolverUnavailable when the integer program cannot answer: HiGHS hit its
+    time limit or failed, a number is too large for exact floating point, or
+    its model does not satisfy f.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     qf, renaming = flatten_exists(f)
     names = sorted(free_vars(qf))
-    if prefer_exhaustive or (bound + 1) ** len(names) <= 50_000:
+    if (bound + 1) ** len(names) <= 50_000:
         return solve_exhaustive(f, bound)
     asg = _solve_milp(qf, names, bound)
     if asg is None:
         return None
     if not evaluate(qf, asg):
-        # numerically suspect model: retry exhaustively only if feasible
-        raise RuntimeError("relaxation produced an invalid model")
+        raise SolverUnavailable("the integer program returned a model that fails the formula")
     return _present_model(asg, renaming, free_vars(f))
 
 
 def _solve_milp(qf, names, bound: int):
+    """A model of qf in [0..bound]^names, or None when HiGHS proves there is none."""
     try:
         import numpy as np
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -348,61 +334,57 @@ def _solve_milp(qf, names, bound: int):
     nnf = _to_nnf(qf)
     var_index = {name: i for i, name in enumerate(names)}
     n_int = len(names)
-    rows = []  # (coeff-vector-over-all-vars, ub)
+    gates = []  # (gate, coefficients, big-M, constant) per atom
+    links = []  # (gate, children): gate <= child for And, gate <= sum for Or
     n_bin = 0
-    gates = []  # per formula node: binary index
-
-    def new_bin():
-        nonlocal n_bin
-        n_bin += 1
-        return n_int + n_bin - 1
 
     def emit(f):
         """Return the binary index gating this subformula (monotone encoding)."""
-        g = new_bin()
+        nonlocal n_bin
+        g = n_int + n_bin
+        n_bin += 1
         if isinstance(f, Leq):
-            coeffs, const = _linearize(Sub(f.left, f.right))
-            # sum + const <= 0 must hold when gate is 1:
+            # sum + const <= 0 must hold when the gate is 1:
             # sum + M*g <= M - const, with M an upper bound of sum + const
-            m_val = sum(c * bound for c in coeffs.values() if c > 0) + const
-            big_m = max(m_val, 0)
-            row = [0] * n_int
-            for v, c in coeffs.items():
-                row[var_index[v]] = c
-            gates.append((g, row, big_m, const))
+            diff = Sub(f.left, f.right)
+            m_val = sum(c * bound for _v, c in diff.coeffs if c > 0) + diff.const
+            gates.append((g, diff.coeffs, max(m_val, 0), diff.const))
         elif isinstance(f, And):
-            gl = emit(f.left)
-            gr = emit(f.right)
-            rows.append(_gate_le(g, [gl]))
-            rows.append(_gate_le(g, [gr]))
+            gl, gr = emit(f.left), emit(f.right)
+            links.extend([(g, [gl]), (g, [gr])])
         elif isinstance(f, Or):
-            gl = emit(f.left)
-            gr = emit(f.right)
-            rows.append(_gate_or(g, [gl, gr]))
+            gl, gr = emit(f.left), emit(f.right)
+            links.append((g, [gl, gr]))
         else:
             raise TypeError(f"unexpected node after NNF: {f!r}")
         return g
 
-    def _gate_le(g, children):
-        # g - child <= 0
-        return ("le", g, children)
-
-    def _gate_or(g, children):
-        # g - sum children <= 0
-        return ("or", g, children)
-
     root = emit(nnf)
+    largest = max(
+        bound,
+        *(
+            abs(v)
+            for _g, coeffs, big_m, const in gates
+            for v in (big_m, big_m - const, *(c for _v, c in coeffs))
+        ),
+    )
+    if largest > EXACT_FLOAT_LIMIT:
+        raise SolverUnavailable(
+            f"a constant of the integer program ({largest}) "
+            "is too large for exact float64 arithmetic"
+        )
     total = n_int + n_bin
 
     a_rows = []
     ubs = []
-    for g, row, big_m, const in gates:
+    for g, coeffs, big_m, const in gates:
         vec = np.zeros(total)
-        vec[: n_int] = row
+        for v, c in coeffs:
+            vec[var_index[v]] = c
         vec[g] = big_m
         a_rows.append(vec)
         ubs.append(big_m - const)
-    for kind, g, children in rows:
+    for g, children in links:
         vec = np.zeros(total)
         vec[g] = 1.0
         for c in children:
@@ -425,9 +407,12 @@ def _solve_milp(qf, names, bound: int):
         constraints=constraints,
         integrality=np.ones(total),
         bounds=Bounds(lower, upper),
+        options={"time_limit": SOLVER_SECONDS},
     )
-    if not result.success or result.x is None:
+    if result.status == 2:
         return None
+    if result.status != 0 or result.x is None:
+        raise SolverUnavailable(f"HiGHS gave no answer: {result.message}")
     values = [int(round(v)) for v in result.x[:n_int]]
     return dict(zip(names, values))
 
@@ -449,10 +434,8 @@ def bpp_reach_formula(net: PetriNet, m0: Marking):
         total = Const(m0.counts[i])
         for t in net.transitions:
             delta = t.post_map.get(p, 0) - t.pre_map.get(p, 0)
-            if delta > 0:
-                total = Add(total, _scaled(count_of[t.name], delta))
-            elif delta < 0:
-                total = Sub(total, _scaled(count_of[t.name], -delta))
+            if delta:
+                total = Add(total, Scale(delta, count_of[t.name]))
         parts.append(equals(Var(p), total))
     max_depth = Const(len(net.transitions))
     for t in net.transitions:
@@ -475,29 +458,24 @@ def bpp_reach_formula(net: PetriNet, m0: Marking):
         ]
         parts.append(disj(Leq(count_of[t.name], ZERO), *feeders))
     body = conj(*parts)
-    bound_names = [v.name for v in count_of.values()] + [
-        v.name for v in depth_of.values()
+    bound_names = [f"x.{t.name}" for t in net.transitions] + [
+        f"z.{t.name}" for t in net.transitions
     ]
     return exists(bound_names, body)
-
-
-def _scaled(var, k: int):
-    term = var
-    for _ in range(k - 1):
-        term = Add(term, var)
-    return term
 
 
 # SMT-LIB 2 export and the optional external solver
 
 
+def _int_smt(k: int) -> str:
+    return str(k) if k >= 0 else f"(- {-k})"
+
+
 def _term_smt(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    op = "+" if isinstance(t, Add) else "-"
-    return f"({op} {_term_smt(t.left)} {_term_smt(t.right)})"
+    parts = [v if k == 1 else f"(* {_int_smt(k)} {v})" for v, k in t.coeffs]
+    if t.const or not parts:
+        parts.append(_int_smt(t.const))
+    return parts[0] if len(parts) == 1 else f"(+ {' '.join(parts)})"
 
 
 def _formula_smt(f) -> str:
@@ -563,9 +541,12 @@ def _sexpr_term(e):
             return Const(int(e))
         return Var(e)
     op, *args = e
-    if op == "-" and len(args) == 1:
-        return Sub(ZERO, _sexpr_term(args[0]))
     terms = [_sexpr_term(a) for a in args]
+    if op == "*":  # smtlib_export writes only (* constant term)
+        k, t = terms
+        return Scale(k.const, t)
+    if op == "-" and len(terms) == 1:
+        return Scale(-1, terms[0])
     result = terms[0]
     for t in terms[1:]:
         result = Add(result, t) if op == "+" else Sub(result, t)
@@ -587,7 +568,7 @@ def _sexpr_formula(e):
     raise ValueError(f"unsupported operator {op!r}")
 
 
-def run_external_solver(f, solver_path: str, timeout: float = 60.0):
+def run_external_solver(f, solver_path: str, timeout: float = SOLVER_SECONDS):
     """Run an SMT-LIB2 solver binary; returns (verdict, model-or-None).
 
     verdict is True/False/None (sat/unsat/unknown).  Models are re-checked

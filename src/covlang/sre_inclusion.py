@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closures import bpp_cutoff_bound, bpp_short_bound
+from .closures import bpp_short_bound, pump_threshold
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -77,18 +77,6 @@ def _check_alphabet(s: Sre, inst: NetInstance):
         raise AlphabetMismatch(
             f"expression uses letters {sorted(extra)} the net does not declare"
         )
-
-
-def pump_threshold(inst: NetInstance) -> int:
-    """Token threshold beyond which a place of a communication-free net is
-    pumpable; raised above the marking maxima to stay meaningful on nets with
-    degenerate flow."""
-    return max(
-        bpp_cutoff_bound(inst).value,
-        max(inst.initial.counts, default=0) + 1,
-        max(inst.final.counts, default=0) + 1,
-        1,
-    )
 
 
 # General nets: reduction to simultaneous unboundedness

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corpus import random_net
-from covlang.errors import NotBpp, UnboundVariable
+from covlang.errors import NotBpp, SolverUnavailable, UnboundVariable
+from covlang.families import bpp_power_instance
 from covlang.nets import EPSILON, Marking, PetriNet, Transition, fire
 from covlang.presburger import (
     Add,
@@ -17,6 +18,7 @@ from covlang.presburger import (
     Not,
     ONE,
     Or,
+    Scale,
     Sub,
     Var,
     ZERO,
@@ -24,6 +26,7 @@ from covlang.presburger import (
     conj,
     equals,
     evaluate,
+    exists,
     flatten_exists,
     free_vars,
     implies,
@@ -104,6 +107,46 @@ class TestSolveBounded:
         model = solve_bounded(f, 5)
         assert model is not None
 
+    def test_renaming_does_not_capture_inner_binders(self):
+        # the bound x is renamed to x~0, which must not capture the inner x~0
+        f = And(
+            Leq(x, Const(5)),
+            Exists("x", Exists("x~0", And(Leq(x, ZERO), Leq(ONE, Var("x~0"))))),
+        )
+        model = solve_bounded(f, 6)
+        assert model is not None and evaluate(f, model)
+
+    def test_flatten_keeps_unrenamed_body(self):
+        body = conj(Leq(Var("u"), x), Not(Leq(x, ONE)))
+        qf, renaming = flatten_exists(exists(["u"], body))
+        assert qf is body and renaming == {"u": "u"}
+
+    @pytest.mark.parametrize("status", [1, 4])
+    def test_milp_without_answer_raises(self, monkeypatch, status):
+        import scipy.optimize
+
+        def no_answer(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                status=status, success=False, x=None, message="no answer"
+            )
+
+        monkeypatch.setattr(scipy.optimize, "milp", no_answer)
+        with pytest.raises(SolverUnavailable):
+            solve_bounded(Leq(Const(5), x), 10**6)
+
+    def test_invalid_milp_model_raises(self, monkeypatch):
+        import numpy as np
+        import scipy.optimize
+
+        def zeros(c, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                status=0, success=True, x=np.zeros(len(c)), message="bogus"
+            )
+
+        monkeypatch.setattr(scipy.optimize, "milp", zeros)
+        with pytest.raises(SolverUnavailable):
+            solve_bounded(Leq(Const(5), x), 10**6)
+
 
 def _milp_only(f, bound):
     from covlang.presburger import _solve_milp, flatten_exists, free_vars
@@ -181,6 +224,11 @@ class TestBppReachFormula:
         got = self._models(net, Marking.of(net, {"p": 1}), limit=1)
         assert got == {(1, 0), (0, 1)}
 
+    def test_arc_weight_is_one_coefficient(self):
+        inst = bpp_power_instance(64)
+        script = smtlib_export(bpp_reach_formula(inst.net, inst.initial))
+        assert "(* 18446744073709551616 x.t)" in script
+
     def test_rejects_synchronizing_nets(self, rackoff_ce):
         with pytest.raises(NotBpp):
             bpp_reach_formula(rackoff_ce.net, rackoff_ce.initial)
@@ -238,3 +286,11 @@ class TestSmtlib:
                 asg = dict(zip(sorted(names), values))
                 # the parsed formula also carries the >= 0 guards, true on naturals
                 assert evaluate(back, asg) == evaluate(qf, asg)
+
+    def test_scaled_terms_round_trip(self):
+        f = Leq(Sub(Scale(3, x), Const(2)), Add(Scale(-2, y), Const(7)))
+        names, back = parse_smtlib_script(smtlib_export(f))
+        assert "(* (- 2) y)" in smtlib_export(f)
+        for values in itertools.product(range(4), repeat=2):
+            asg = dict(zip(sorted(names), values))
+            assert evaluate(back, asg) == evaluate(f, asg)

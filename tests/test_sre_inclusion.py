@@ -4,6 +4,7 @@ import pytest
 
 from corpus import random_net, random_product, random_sre
 from covlang.errors import AlphabetMismatch, NotBpp
+from covlang.families import bpp_power_instance
 from covlang.nets import Marking, NetInstance
 from covlang.reach import member
 from covlang.sre import (
@@ -230,6 +231,46 @@ class TestPWitnessSpec:
         # final marking is never coverable: everything must fail
         assert sre_in_dc_bpp(EMPTY_STAR, inst).answer == "fails"
         assert sre_in_dc_pn(EMPTY_STAR, inst).answer == "fails"
+
+
+class TestBuiltInSolverLimits:
+    def test_large_arc_weight_is_decided(self):
+        # the weight 2^10 is one coefficient, not a chain of 1024 terms
+        assert sre_in_dc_bpp(ASTAR, bpp_power_instance(10)).answer == "fails"
+
+    def test_beyond_exact_float_is_unknown(self, tmp_path):
+        # at n=12 the big-M constant is about 3.0e16 > 2^53
+        solver = SolverConfig(emit_smt_to=str(tmp_path))
+        verdict = sre_in_dc_bpp(ASTAR, bpp_power_instance(12), solver=solver)
+        assert verdict.answer == "unknown"
+        assert "float64" in verdict.detail and ".smt2" in verdict.detail
+
+    def test_time_limit_is_unknown(self, power2, tmp_path, monkeypatch):
+        import scipy.optimize
+
+        from covlang.presburger import SOLVER_SECONDS
+
+        limits = []
+
+        def timed_out(*args, options=None, **kwargs):
+            limits.append(options["time_limit"])
+            return scipy.optimize.OptimizeResult(
+                status=1, success=False, x=None, message="Time limit reached."
+            )
+
+        monkeypatch.setattr(scipy.optimize, "milp", timed_out)
+        solver = SolverConfig(emit_smt_to=str(tmp_path))
+        verdict = sre_in_dc_bpp(ASTAR, power2, solver=solver)
+        assert verdict.answer == "unknown"
+        assert limits == [SOLVER_SECONDS]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="HiGHS reports the route's box of 226,492,565 infeasible, "
+        "although solve_bounded finds a model within 10^8",
+    )
+    def test_empty_star_on_power7_holds(self):
+        assert sre_in_dc_bpp(EMPTY_STAR, bpp_power_instance(7)).holds
 
 
 class TestSmtArtifacts:
