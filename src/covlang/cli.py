@@ -8,6 +8,7 @@ unless -f is given; `gen` writes one, so commands pipe together.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--solver",
-        default=os.environ.get("COVLANG_SOLVER"),
+        default=None,
         help="external SMT-LIB2 solver binary (default: $COVLANG_SOLVER)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,6 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it reads no environment."""
+    return build_parser()
+
+
 def _load_instance(args):
     if args.file:
         with open(args.file) as handle:
@@ -160,7 +167,7 @@ def _verdict_exit(verdict) -> int:
 
 def _cmd_cover(args) -> int:
     inst = _load_instance(args)
-    ok, witness = coverable(inst)
+    ok, witness = coverable(inst, max_nodes=args.budget_nodes)
     if ok:
         print("coverable witness " + (" ".join(witness) if witness else "(empty)"))
         return EXIT_HOLDS
@@ -213,7 +220,8 @@ def _cmd_sre_in(args) -> int:
     route = args.route
     if route == "auto":
         route = "bpp" if is_bpp(inst.net) else "pn"
-    solver = SolverConfig(path=args.solver)
+    path = args.solver if args.solver is not None else os.environ.get("COVLANG_SOLVER")
+    solver = SolverConfig(path=path)
     if args.dir == "down":
         if route == "bpp":
             verdict = sre_in_dc_bpp(s, inst, solver=solver)
@@ -348,7 +356,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ParseError as err:

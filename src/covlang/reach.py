@@ -6,14 +6,21 @@ One accelerated search over omega-markings serves ``km_graph`` (the whole
 graph), ``simultaneously_unbounded`` (stops at the first node that is omega on
 every target place) and ``trace_inclusion.silent_closure`` (silent transitions
 only, from several roots).
+
+Backward coverability (``coverable``, and ``member`` through it) saturates an
+antichain of minimal markings from the final marking.  It drops every
+marking m with y . m > y . m0 for a minimal-support P-semiflow y of the net
+(computed once per call by the Farkas algorithm), and it raises
+BudgetExceeded past ``max_nodes`` inserted markings.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 
-from .errors import BudgetExceeded, NotEnabled
+from .errors import AlphabetMismatch, BudgetExceeded, NotEnabled
 from .nets import (
     EPSILON,
     Marking,
@@ -250,13 +257,81 @@ def _pre_marking(net: PetriNet, target: Marking, t) -> Marking:
     return Marking(tuple(counts))
 
 
-def coverable(inst: NetInstance):
+#: Farkas tables with more rows than this are abandoned; backward
+#: coverability then runs without semiflow pruning.
+SEMIFLOW_ROWS = 512
+
+
+def _semiflows(net: PetriNet) -> list:
+    """Minimal-support P-semiflows of the net, as sparse (place-index, weight)
+    tuples: vectors y >= 0, y != 0, with y . (post(t) - pre(t)) = 0 for every
+    transition t.
+
+    Farkas algorithm in exact integers over the table [C | I], one transition
+    column at a time, keeping only rows of minimal support (Martinez-Silva,
+    1982).  Returns [] when the table would outgrow SEMIFLOW_ROWS.
+    """
+    idx = net.place_index
+    n = len(net.places)
+    effect = [[0] * len(net.transitions) for _ in range(n)]
+    for j, t in enumerate(net.transitions):
+        for p, w in t.pre:
+            effect[idx[p]][j] -= w
+        for p, w in t.post:
+            effect[idx[p]][j] += w
+    # row: (y . C, y, support bitmask of y); columns before j are zero
+    rows = [(effect[i], [int(k == i) for k in range(n)], 1 << i) for i in range(n)]
+    for j in range(len(net.transitions)):
+        kept = [r for r in rows if r[0][j] == 0]
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        if len(kept) + len(pos) * len(neg) > SEMIFLOW_ROWS:
+            return []
+        # one combination per support: rows of equal minimal support are
+        # proportional, and the rest are dropped below
+        fresh = {}
+        for ca, ya, sa in pos:
+            for cb, yb, sb in neg:
+                support = sa | sb
+                if support in fresh:
+                    continue
+                ka, kb = -cb[j], ca[j]
+                y = [ka * u + kb * v for u, v in zip(ya, yb)]
+                g = gcd(*y)
+                fresh[support] = (
+                    [(ka * u + kb * v) // g for u, v in zip(ca, cb)],
+                    [v // g for v in y],
+                    support,
+                )
+        supports = [s for _c, _y, s in kept] + list(fresh)
+        rows = kept + [
+            row
+            for support, row in fresh.items()
+            if not any(s != support and s & support == s for s in supports)
+        ]
+    return [tuple((i, v) for i, v in enumerate(y) if v) for _c, y, _s in rows]
+
+
+def coverable(inst: NetInstance, max_nodes: int = 100_000):
     """Exact backward coverability; returns (answer, witness-or-None).
 
     The witness is a transition sequence whose replay from the initial marking
-    covers the final marking.
+    covers the final marking.  A marking m with y . m > y . m0 for some
+    P-semiflow y cannot be covered from the initial marking m0, since y . m is
+    the same on every reachable marking; nor can any of its predecessors, so
+    such markings are dropped without changing the answer or the witness.
+    Inserting more than max_nodes markings raises BudgetExceeded.
     """
     net = inst.net
+    bounds = [
+        (y, sum(v * inst.initial.counts[i] for i, v in y)) for y in _semiflows(net)
+    ]
+
+    def uncoverable(m: Marking) -> bool:
+        return any(sum(v * m.counts[i] for i, v in y) > bound for y, bound in bounds)
+
+    if uncoverable(inst.final):
+        return False, None
     goal = UpwardClosedSet([inst.final])
     # chain[marking] = (transition-name, next-basis-marking) toward the goal
     chain = {inst.final: None}
@@ -274,21 +349,23 @@ def coverable(inst: NetInstance):
         return witness
 
     frontier = [inst.final]
+    inserted = 1
     while frontier:
         new_frontier = []
         for b in frontier:
             for t in net.transitions:
                 pre = _pre_marking(net, b, t)
-                if goal.insert(pre):
-                    chain[pre] = (t.name, b)
-                    new_frontier.append(pre)
+                if uncoverable(pre) or not goal.insert(pre):
+                    continue
+                inserted += 1
+                if inserted > max_nodes:
+                    raise BudgetExceeded("backward-coverability markings", max_nodes)
+                chain[pre] = (t.name, b)
+                new_frontier.append(pre)
         frontier = new_frontier
         witness = extract()
         if witness is not None:
             return True, witness
-    witness = extract()
-    if witness is not None:
-        return True, witness
     return False, None
 
 
@@ -303,7 +380,7 @@ def member(w: Word, inst: NetInstance, mode: str = "exact", max_nodes=100_000) -
     """Exact membership of a word in L, uc(L), or dc(L) of a coverability language.
 
     Implemented by composing the instance with a word automaton and deciding
-    coverability of the composite.
+    coverability of the composite, with max_nodes as its budget.
     """
     from .fsa import saturate_down, word_fsa
 
@@ -311,7 +388,7 @@ def member(w: Word, inst: NetInstance, mode: str = "exact", max_nodes=100_000) -
         raise ValueError(f"unknown membership mode {mode!r}")
     unknown = set(w) - set(inst.net.alphabet)
     if unknown:
-        raise ValueError(f"word uses undeclared letters {sorted(unknown)}")
+        raise AlphabetMismatch(f"word uses undeclared letters {sorted(unknown)}")
     target = word_fsa(inst.net.alphabet, tuple(w))
     if mode == "down":
         synced = sync_with_fsa(inst.net, target, "right")
@@ -319,7 +396,7 @@ def member(w: Word, inst: NetInstance, mode: str = "exact", max_nodes=100_000) -
         synced = sync_with_fsa(inst.net, target, "full")
     else:  # up: some word of L embeds into w
         synced = sync_with_fsa(inst.net, saturate_down(target), "full")
-    return is_coverable(synced.make_instance(inst))
+    return coverable(synced.make_instance(inst), max_nodes)[0]
 
 
 def brute_force_language(inst: NetInstance, k: int) -> set:

@@ -147,8 +147,11 @@ def sre_in_uc_pn(s: Sre, inst: NetInstance, max_nodes: int = 100_000) -> Verdict
     _check_alphabet(s, inst)
     for p in s.products:
         w = min_word(p)
-        if not member(w, inst, "up", max_nodes=max_nodes):
-            return Verdict("fails", failing_product=p, witness=w)
+        try:
+            if not member(w, inst, "up", max_nodes=max_nodes):
+                return Verdict("fails", failing_product=p, witness=w)
+        except BudgetExceeded as err:
+            return Verdict("unknown", failing_product=p, detail=str(err))
     return HOLDS
 
 

@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -133,6 +134,32 @@ class TestExportAndErrors:
     def test_usage_error(self):
         code, _, err = run_cli(["member"])  # missing -w
         assert code == 64
+
+    def test_member_undeclared_letter_is_an_error(self):
+        _, doc, _ = run_cli(["gen", "bpp-power", "2"])
+        code, out, err = run_cli(["member", "-w", "z"], stdin_text=doc)
+        assert code == 3 and out == ""
+        assert err.startswith("covlang: ") and "undeclared letters" in err
+
+    def test_cover_node_budget_is_unknown(self):
+        _, doc, _ = run_cli(["gen", "bpp-power", "4"])
+        code, _, err = run_cli(["--budget-nodes", "5", "cover"], stdin_text=doc)
+        assert code == 2 and "backward-coverability markings budget of 5" in err
+
+    def test_solver_read_from_environment_on_each_call(
+        self, power2_doc, tmp_path, monkeypatch
+    ):
+        unsat = tmp_path / "unsat.sh"
+        unsat.write_text("#!/bin/sh\necho unsat\n")
+        unsat.chmod(0o755)
+        argv = ["sre-in", "--dir", "down", "-e", "{a}*", "--route", "bpp"]
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # formula artifact
+        monkeypatch.setenv("COVLANG_SOLVER", str(tmp_path / "missing"))
+        code, out, _ = run_cli(argv, stdin_text=power2_doc)
+        assert code == 2 and out.startswith("unknown")
+        monkeypatch.setenv("COVLANG_SOLVER", str(unsat))
+        code, out, _ = run_cli(argv, stdin_text=power2_doc)
+        assert code == 1 and out.startswith("fails")
 
     def test_parse_error(self):
         code, _, err = run_cli(["cover"], stdin_text="trans t pre q:1\n")

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from corpus import random_net
-from covlang.errors import BudgetExceeded
+from corpus import random_fsa, random_net
+from covlang.errors import AlphabetMismatch, BudgetExceeded
 from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 from covlang.nets import (
     Marking,
@@ -13,10 +13,12 @@ from covlang.nets import (
     Transition,
     fire_sequence,
     subword,
+    sync_with_fsa,
 )
 from covlang.reach import (
     OMEGA,
     UpwardClosedSet,
+    _semiflows,
     brute_force_language,
     coverable,
     km_graph,
@@ -64,6 +66,71 @@ class TestCoverable:
             if ok:
                 end = fire_sequence(inst.net, inst.initial, witness)
                 assert end.covers(inst.final)
+
+
+class TestSemiflowPruning:
+    def test_semiflows_are_nonnegative_invariants(self):
+        rng = random.Random(5)
+        flows = 0
+        for i in range(500):
+            net = random_net(rng, max_weight=3, bpp=i % 2 == 0).net
+            idx = net.place_index
+            for y in _semiflows(net):
+                weights = dict(y)
+                assert weights and all(v > 0 for v in weights.values())
+                for t in net.transitions:
+                    effect = sum(weights.get(idx[p], 0) * w for p, w in t.post)
+                    effect -= sum(weights.get(idx[p], 0) * w for p, w in t.pre)
+                    assert effect == 0
+                flows += 1
+        assert flows >= 100
+
+    def test_power_net_has_one_semiflow(self):
+        flows = _semiflows(bpp_power_instance(3).net)
+        assert [tuple(dict(y).get(i, 0) for i in range(3)) for y in flows] == [(8, 1, 1)]
+
+    @staticmethod
+    def _agrees_with_km_graph(inst):
+        ok, witness = coverable(inst)
+        graph = km_graph(inst.net, inst.initial, max_nodes=5_000, partial=True)
+        assert graph.complete
+        assert ok == bool(graph.covering_nodes(inst.final))
+        if ok:
+            end = fire_sequence(inst.net, inst.initial, witness)
+            assert end.covers(inst.final)
+
+    def test_agrees_with_km_graph_on_random_nets(self):
+        rng = random.Random(61)
+        for i in range(1_000):
+            self._agrees_with_km_graph(
+                random_net(rng, max_places=3, max_transitions=3, bpp=i % 2 == 0)
+            )
+
+    def test_agrees_with_km_graph_on_synchronized_nets(self):
+        # every synchronized net has a semiflow: the one control token
+        rng = random.Random(67)
+        for i in range(1_000):
+            base = random_net(rng, max_places=2, max_transitions=3)
+            mode = ("full", "right")[i % 2]
+            synced = sync_with_fsa(base.net, random_fsa(rng, max_states=3), mode)
+            assert _semiflows(synced.net)
+            self._agrees_with_km_graph(synced.make_instance(base))
+
+    def test_power_cover_witness(self):
+        ok, witness = coverable(bpp_power_instance(8))
+        assert ok and witness == ["t"] + ["ta"] * 256
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mode", ["exact", "up"])
+    def test_power_member_exact_and_up(self, mode, n):
+        inst = bpp_power_instance(n)
+        assert member(("a",) * 2**n, inst, mode)
+        assert not member(("a",) * (2**n - 1), inst, mode)
+
+    def test_power_member_down(self):
+        inst = bpp_power_instance(5)
+        assert member(("a",) * 32, inst, "down")
+        assert member(("a",) * 31, inst, "down")
 
 
 class TestKmGraph:
@@ -184,6 +251,14 @@ class TestMember:
     def test_down_examples(self, power2):
         assert member(("a",) * 3, power2, "down")
         assert not member(("a",) * 5, power2, "down")
+
+    def test_budget(self, power2):
+        with pytest.raises(BudgetExceeded):
+            member(("a",) * 4, power2, "down", max_nodes=5)
+
+    def test_undeclared_letter(self, power2):
+        with pytest.raises(AlphabetMismatch):
+            member(("z",), power2, "exact")
 
     def test_down_agrees_with_bounded_oracle_on_short_run_families(self):
         from covlang.families import ackermann_instance, bpp_power_instance

@@ -89,6 +89,11 @@ class TestUcPn:
         )
         assert sre_in_uc_pn(s, rackoff_ce).holds
 
+    def test_node_budget_is_unknown(self, power2):
+        verdict = sre_in_uc_pn(A4, power2, max_nodes=3)
+        assert verdict.answer == "unknown"
+        assert "backward-coverability markings budget of 3" in verdict.detail
+
     def test_single_word_matches_membership(self):
         rng = random.Random(71)
         for _ in range(20):
