@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--solver",
         default=None,
-        help="external SMT-LIB2 solver binary (default: $COVLANG_SOLVER)",
+        help="external SMT-LIB2 solver binary for sre-in --dir down on the "
+        "communication-free route (default: $COVLANG_SOLVER)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -110,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--route",
         choices=["auto", "pn", "bpp"],
         default="auto",
-        help="force the general or the communication-free decision procedure",
+        help="force the general (pn) or the communication-free (bpp) route; "
+        "with --dir up both decide minimal-word coverability, and bpp accepts "
+        "communication-free nets only",
     )
 
     p = sub.add_parser("is-closed", help="is the language equal to its closure?")
@@ -195,6 +198,8 @@ def _closure_result(args, inst):
             return uc_fsa_bpp(inst, max_states=args.budget_nodes), "exact"
         mode = "adaptive"
     if mode.startswith("k="):
+        if not (mode[2:].isascii() and mode[2:].isdigit()):
+            raise ParseError(0, "k=K with K a non-negative integer", mode)
         result = uc_fsa(inst, mode="user_k", k=int(mode[2:]))
     elif mode == "certified":
         result = uc_fsa(inst, mode="certified")
@@ -220,16 +225,15 @@ def _cmd_sre_in(args) -> int:
     route = args.route
     if route == "auto":
         route = "bpp" if is_bpp(inst.net) else "pn"
-    path = args.solver if args.solver is not None else os.environ.get("COVLANG_SOLVER")
-    solver = SolverConfig(path=path)
     if args.dir == "down":
         if route == "bpp":
-            verdict = sre_in_dc_bpp(s, inst, solver=solver)
+            path = args.solver if args.solver is not None else os.environ.get("COVLANG_SOLVER")
+            verdict = sre_in_dc_bpp(s, inst, solver=SolverConfig(path=path))
         else:
             verdict = sre_in_dc_pn(s, inst, max_nodes=args.budget_nodes)
     else:
         if route == "bpp":
-            verdict = sre_in_uc_bpp(s, inst, solver=solver, max_nodes=args.budget_nodes)
+            verdict = sre_in_uc_bpp(s, inst, max_nodes=args.budget_nodes)
         else:
             verdict = sre_in_uc_pn(s, inst, max_nodes=args.budget_nodes)
     print(verdict.answer + (f" ({verdict.detail})" if verdict.detail else ""))

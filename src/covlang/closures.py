@@ -22,6 +22,9 @@ from .reach import OMEGA, km_graph, om_covers_marking, om_fire
 
 #: Materializing integers beyond this many bits is pointless for desk work.
 MAX_VALUE_BITS = 10**7
+#: Consecutive doublings of k with an unchanged language after which
+#: ``uc_fsa(mode="adaptive")`` stops.
+STABLE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,6 @@ def uc_fsa(
     mode: str = "adaptive",
     k: int | None = None,
     ceiling: int = 10**6,
-    stabilization: int = 3,
     k_cap: int = 64,
     max_states: int = 2_000_000,
 ) -> ClosureResult:
@@ -260,7 +262,7 @@ def uc_fsa(
                 stable = 0
             current = nxt
             k_used = step
-            if stable >= stabilization:
+            if stable >= STABLE_ROUNDS:
                 break
             step *= 2
         return ClosureResult(current, "heuristic", k_used=k_used)

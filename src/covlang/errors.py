@@ -53,10 +53,6 @@ class SolverUnavailable(CovlangError):
     """No way to discharge a satisfiability query (no built-in backend, no external solver)."""
 
 
-class Disagreement(CovlangError):
-    """Two independent decision procedures returned different answers (implementation bug)."""
-
-
 class ParseError(CovlangError):
     def __init__(self, line_no, expected, got=None):
         self.line_no = line_no

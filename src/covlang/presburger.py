@@ -13,6 +13,7 @@ raises SolverUnavailable instead of reporting no model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import subprocess
 import tempfile
@@ -178,11 +179,13 @@ def evaluate(f, asg) -> bool:
     The window grows with the constants and coefficients of the formula and
     the values of the assignment.  It is a heuristic, not a decision procedure:
     the solvers evaluate only flattened, quantifier-free formulas, where it
-    plays no part.
+    plays no part and is never computed.
     """
-    exists_window = 2 * (_max_const(f) + max([0, *map(abs, asg.values())])) + 8
     if any(v < 0 for v in asg.values()):
         raise ValueError("variables range over naturals")
+    exists_window = functools.cache(
+        lambda: 2 * (_max_const(f) + max([0, *map(abs, asg.values())])) + 8
+    )
 
     def go(f, asg):
         if isinstance(f, Leq):
@@ -195,7 +198,7 @@ def evaluate(f, asg) -> bool:
             return go(f.left, asg) and go(f.right, asg)
         if isinstance(f, Exists):
             return any(
-                go(f.body, {**asg, f.var: v}) for v in range(exists_window + 1)
+                go(f.body, {**asg, f.var: v}) for v in range(exists_window() + 1)
             )
         raise TypeError(f"not a formula: {f!r}")
 
@@ -281,11 +284,17 @@ def _to_nnf(f):
 def solve_exhaustive(f, bound: int):
     """Reference solver: enumerate the whole box (only viable for tiny formulas)."""
     qf, renaming = flatten_exists(f)
-    names = sorted(free_vars(qf))
+    asg = _enumerate(qf, sorted(free_vars(qf)), bound)
+    return None if asg is None else _present_model(asg, renaming, free_vars(f))
+
+
+def _enumerate(qf, names, bound: int):
+    """First assignment of [0..bound]^names, in lexicographic order, that
+    satisfies the quantifier-free formula, or None."""
     for values in itertools.product(range(bound + 1), repeat=len(names)):
         asg = dict(zip(names, values))
         if evaluate(qf, asg):
-            return _present_model(asg, renaming, free_vars(f))
+            return asg
     return None
 
 
@@ -314,12 +323,13 @@ def solve_bounded(f, bound: int):
     qf, renaming = flatten_exists(f)
     names = sorted(free_vars(qf))
     if (bound + 1) ** len(names) <= 50_000:
-        return solve_exhaustive(f, bound)
-    asg = _solve_milp(qf, names, bound)
+        asg = _enumerate(qf, names, bound)
+    else:
+        asg = _solve_milp(qf, names, bound)
+        if asg is not None and not evaluate(qf, asg):
+            raise SolverUnavailable("the integer program returned a model that fails the formula")
     if asg is None:
         return None
-    if not evaluate(qf, asg):
-        raise SolverUnavailable("the integer program returned a model that fails the formula")
     return _present_model(asg, renaming, free_vars(f))
 
 

@@ -1,21 +1,24 @@
 """Deciders for inclusion of a simple regular expression in the upward or
 downward closure of a coverability language.
 
-The general route reduces each product to simultaneous unboundedness of
-counting places in a synchronized product net.  The communication-free route
-compiles the staged-witness characterizations to existential arithmetic and
-discharges them with the bounded solver (or an external SMT solver).
+Upward closure, on every net: the expression is included iff the minimal word
+of each of its products is in the closure, which backward coverability
+decides (``reach.member``).  Downward closure: the general route reduces each
+product to simultaneous unboundedness of counting places in a synchronized
+product net; the communication-free route compiles the staged-witness
+characterization to existential arithmetic and discharges it with the bounded
+solver (or an external SMT solver).  ``staged_cover_system`` writes the upward
+question as such a formula too, for export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closures import bpp_short_bound, pump_threshold
+from .closures import pump_threshold
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
-    Disagreement,
     NotBpp,
     SolverUnavailable,
 )
@@ -430,46 +433,16 @@ def staged_cover_system(w, inst: NetInstance):
     return nprime, formula
 
 
-def _uc_box_bound(inst: NetInstance, nprime: PetriNet) -> int:
-    steps = bpp_short_bound(inst).value + 2
-    m = inst.net.max_arc_weight()
-    return max(
-        inst.initial.token_count() + (m + 1) * steps + 8,
-        len(nprime.transitions) + 1,
-    )
+def sre_in_uc_bpp(s: Sre, inst: NetInstance, max_nodes: int = 100_000) -> Verdict:
+    """Upward-closure inclusion on the communication-free route.
 
-
-def sre_in_uc_bpp(
-    s: Sre,
-    inst: NetInstance,
-    solver: SolverConfig | None = None,
-    max_nodes: int = 100_000,
-) -> Verdict:
-    """Upward-closure inclusion for communication-free nets.
-
-    Runs both the staged-covering formula and the coverability-based check on
-    every minimal word and insists that they agree.
+    Decides each product exactly as ``sre_in_uc_pn`` does, by backward
+    coverability of its minimal word; the route only adds the guard that the
+    net is communication-free.  The staged-cover formula of the same question
+    (``staged_cover_system``) is exported by ``covlang export --smt2 --dir
+    up``, not solved here.
     """
     _check_alphabet(s, inst)
     if not is_bpp(inst.net):
         raise NotBpp("use sre_in_uc_pn for nets with synchronization")
-    solver = solver or SolverConfig()
-    for p in s.products:
-        w = min_word(p)
-        by_coverability = member(w, inst, "up", max_nodes=max_nodes)
-        nprime, formula = staged_cover_system(w, inst)
-        sat, model, detail = solver.decide(
-            formula, _uc_box_bound(inst, nprime), "staged-cover"
-        )
-        if sat is None:
-            if not by_coverability:
-                return Verdict("fails", failing_product=p, witness=w, detail=detail)
-            return Verdict("unknown", failing_product=p, detail=detail)
-        if sat != by_coverability:
-            raise Disagreement(
-                f"staged formula says {sat}, coverability says {by_coverability} "
-                f"for minimal word {''.join(w) or 'the empty word'}"
-            )
-        if not sat:
-            return Verdict("fails", failing_product=p, witness=w)
-    return HOLDS
+    return sre_in_uc_pn(s, inst, max_nodes)

@@ -70,6 +70,19 @@ def _net_steps(net: PetriNet):
     return by_label
 
 
+def _letter_step(net: PetriNet, s, names, max_nodes: int) -> tuple:
+    """Antichain after one letter: fire each of its transitions ``names`` from
+    every marking of ``s``, keep the maximal results, close them off
+    silently."""
+    moved = []
+    for m in s:
+        for name in names:
+            succ = om_fire(net, m, name)
+            if succ is not None:
+                moved.append(succ)
+    return silent_closure(net, _maximal(moved), max_nodes)[0]
+
+
 def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000):
     """Every trace of the automaton is a trace of the net; exact.
 
@@ -92,13 +105,7 @@ def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000)
             qa2 = step_a(qa, x)
             if not qa2:
                 continue
-            moved = []
-            for m in s:
-                for name in by_label.get(x, ()):
-                    succ = om_fire(net, m, name)
-                    if succ is not None:
-                        moved.append(succ)
-            s2, _ = silent_closure(net, _maximal(moved), max_nodes)
+            s2 = _letter_step(net, s, by_label.get(x, ()), max_nodes)
             if not s2:
                 return False, w + (x,)
             subsumed = any(
@@ -120,13 +127,7 @@ def net_has_trace(net: PetriNet, m0: Marking, w, max_nodes: int = 50_000) -> boo
     by_label = _net_steps(net)
     s, _ = silent_closure(net, [tuple(m0.counts)], max_nodes)
     for x in w:
-        moved = []
-        for m in s:
-            for name in by_label.get(x, ()):
-                succ = om_fire(net, m, name)
-                if succ is not None:
-                    moved.append(succ)
-        s, _ = silent_closure(net, _maximal(moved), max_nodes)
+        s = _letter_step(net, s, by_label.get(x, ()), max_nodes)
         if not s:
             return False
     return True
@@ -216,7 +217,6 @@ def is_closed(
     inst: NetInstance,
     direction: str,
     max_nodes: int = 50_000,
-    certified_ceiling: int = 10**6,
 ) -> IsClosedResult:
     """Is the coverability language equal to its upward or downward closure?
 
@@ -242,9 +242,7 @@ def is_closed(
             if bpp:
                 closure = uc_fsa_bpp(inst, max_states=max_nodes)
             else:
-                closure = uc_fsa(
-                    inst, mode="certified", ceiling=certified_ceiling
-                ).fsa
+                closure = uc_fsa(inst, mode="certified").fsa
     except CertifiedBoundTooLarge as err:
         return IsClosedResult("unknown", detail=str(err))
     except BudgetExceeded as err:

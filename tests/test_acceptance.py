@@ -50,6 +50,7 @@ from covlang.sre_inclusion import (
     sre_in_dc_pn,
     sre_in_uc_bpp,
     sre_in_uc_pn,
+    staged_cover_system,
 )
 from covlang.trace_inclusion import is_closed, net_has_trace, traces_included
 
@@ -196,9 +197,21 @@ def test_criterion_6_dc_inclusion_cross_procedure_agreement():
     report(6, f"both dc-inclusion procedures agreed on {pairs} (net, sre) pairs")
 
 
+def staged_cover_box(inst, nprime):
+    """Box for solving the staged-cover formula: a heuristic with no cited
+    bound (short-run length times the largest arc weight, plus slack)."""
+    steps = bpp_short_bound(inst).value + 2
+    m = inst.net.max_arc_weight()
+    return max(
+        inst.initial.token_count() + (m + 1) * steps + 8,
+        len(nprime.transitions) + 1,
+    )
+
+
 def test_criterion_7_uc_inclusion_minimal_words():
     rng = random.Random(2026)
     checked = 0
+    words = 0
     for _ in range(20):
         inst = random_net(rng, max_places=3, max_transitions=3, bpp=True)
         for _ in range(5):
@@ -206,12 +219,21 @@ def test_criterion_7_uc_inclusion_minimal_words():
             verdict = sre_in_uc_pn(s, inst)
             expected = all(member(min_word(p), inst, "up") for p in s.products)
             assert verdict.holds == expected
-            # the staged route raises Disagreement if it contradicts the
-            # coverability route; equality below closes the loop
-            by_bpp = sre_in_uc_bpp(s, inst)
-            assert by_bpp.answer == verdict.answer
+            assert sre_in_uc_bpp(s, inst).answer == verdict.answer
+            # the staged-cover formula, solved in its box, decides the same
+            # membership as backward coverability
+            for p in s.products:
+                w = min_word(p)
+                nprime, formula = staged_cover_system(w, inst)
+                by_formula = solve_bounded(formula, staged_cover_box(inst, nprime))
+                assert (by_formula is not None) == member(w, inst, "up"), (inst, w)
+                words += 1
             checked += 1
-    report(7, f"uc-inclusion = minimal-word membership on {checked} pairs, routes agree")
+    report(
+        7,
+        f"uc-inclusion = minimal-word membership on {checked} pairs; "
+        f"staged formula = coverability on {words} minimal words",
+    )
 
 
 def _fsa_traces(a, max_len):

@@ -1,7 +1,6 @@
 import io
 import subprocess
 import sys
-import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -146,6 +145,26 @@ class TestExportAndErrors:
         code, _, err = run_cli(["--budget-nodes", "5", "cover"], stdin_text=doc)
         assert code == 2 and "backward-coverability markings budget of 5" in err
 
+    def test_sre_in_up_node_budget_is_unknown(self, power2_doc):
+        argv = ["--budget-nodes", "0", "sre-in", "--dir", "up", "-e", "a.a.a.a"]
+        for route in ("auto", "pn"):
+            code, out, _ = run_cli([*argv, "--route", route], stdin_text=power2_doc)
+            assert code == 2
+            assert out == "unknown (backward-coverability markings budget of 0 exceeded)\n"
+
+    def test_sre_in_up_bpp_route_rejects_synchronizing_net(self, rackoff_doc):
+        argv = ["sre-in", "--dir", "up", "-e", "a", "--route", "bpp"]
+        code, out, err = run_cli(argv, stdin_text=rackoff_doc)
+        assert code == 3 and out == ""
+        assert err.startswith("covlang: ") and "sre_in_uc_pn" in err
+
+    @pytest.mark.parametrize("mode", ["k=x", "k=-1"])
+    def test_closure_bad_k_is_a_parse_error(self, rackoff_doc, mode):
+        argv = ["closure", "--dir", "up", "--mode", mode]
+        code, out, err = run_cli(argv, stdin_text=rackoff_doc)
+        assert code == 3 and out == ""
+        assert err.startswith("covlang: parse error: ") and mode in err
+
     def test_solver_read_from_environment_on_each_call(
         self, power2_doc, tmp_path, monkeypatch
     ):
@@ -153,7 +172,6 @@ class TestExportAndErrors:
         unsat.write_text("#!/bin/sh\necho unsat\n")
         unsat.chmod(0o755)
         argv = ["sre-in", "--dir", "down", "-e", "{a}*", "--route", "bpp"]
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # formula artifact
         monkeypatch.setenv("COVLANG_SOLVER", str(tmp_path / "missing"))
         code, out, _ = run_cli(argv, stdin_text=power2_doc)
         assert code == 2 and out.startswith("unknown")
