@@ -21,14 +21,8 @@ from .closures import (
     rackoff_bound,
     rackoff_g_bound,
     uc_fsa,
-    uc_fsa_bpp,
 )
-from .errors import (
-    BudgetExceeded,
-    CertifiedBoundTooLarge,
-    CovlangError,
-    ParseError,
-)
+from .errors import BudgetExceeded, CovlangError, ParseError
 from .nets import is_bpp
 from .reach import OMEGA, coverable, km_graph, member, simultaneously_unbounded
 from .sre_inclusion import (
@@ -64,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be non-negative: {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="covlang", description=__doc__)
     parser.add_argument(
@@ -71,15 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget-nodes",
-        type=int,
+        type=_budget,
         default=100_000,
         help="node budget for state-space explorations",
-    )
-    parser.add_argument(
-        "--budget-steps",
-        type=int,
-        default=64,
-        help="step budget (run-length cap for adaptive closures)",
     )
     parser.add_argument(
         "--solver",
@@ -100,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode",
         default=None,
-        help="up-closure strategy: certified, k=K, or adaptive",
+        help="up-closure strategy: k=K saturates the runs of length at most K "
+        "(default: the exact closure)",
     )
     p.add_argument("--dot", action="store_true", help="emit DOT instead of text")
 
@@ -187,26 +183,20 @@ def _cmd_member(args) -> int:
 
 
 def _closure_result(args, inst):
+    mode = args.mode
     if args.dir == "down":
+        if mode is not None:
+            raise ParseError(0, "no --mode with --dir down", mode)
         if is_bpp(inst.net):
             return dc_fsa_bpp(inst, max_states=args.budget_nodes), "exact"
         result = dc_fsa_pn(inst, max_nodes=args.budget_nodes)
         return result.fsa, result.exactness
-    mode = args.mode
     if mode is None:
-        if is_bpp(inst.net):
-            return uc_fsa_bpp(inst, max_states=args.budget_nodes), "exact"
-        mode = "adaptive"
-    if mode.startswith("k="):
-        if not (mode[2:].isascii() and mode[2:].isdigit()):
-            raise ParseError(0, "k=K with K a non-negative integer", mode)
+        result = uc_fsa(inst, max_states=args.budget_nodes)
+    elif mode.startswith("k=") and mode[2:].isascii() and mode[2:].isdigit():
         result = uc_fsa(inst, mode="user_k", k=int(mode[2:]))
-    elif mode == "certified":
-        result = uc_fsa(inst, mode="certified")
-    elif mode == "adaptive":
-        result = uc_fsa(inst, mode="adaptive", k_cap=args.budget_steps)
     else:
-        raise ParseError(0, "certified, k=K, or adaptive", mode)
+        raise ParseError(0, "k=K with K a non-negative integer", mode)
     return result.fsa, result.exactness
 
 
@@ -367,9 +357,6 @@ def main(argv=None) -> int:
         print(f"covlang: parse error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except BudgetExceeded as err:
-        print(f"covlang: {err}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except CertifiedBoundTooLarge as err:
         print(f"covlang: {err}", file=sys.stderr)
         return EXIT_UNKNOWN
     except CovlangError as err:

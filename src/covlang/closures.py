@@ -1,9 +1,14 @@
 """Closure automata for coverability languages.
 
-Upward closures come from length-bounded under-approximations saturated with
-letter self-loops; the certified length bound follows the classical recurrence
-over the number of places.  Downward closures use the cutoff abstraction for
-communication-free nets and the coverability graph in general.
+Upward closures are exact on every net.  Communication-free nets saturate the
+reachability graph or a short-run automaton with letter self-loops.  Other nets follow Valk and Jantzen
+(1985): grow a finite set W of words of the language until one coverability
+query shows that no word of the language lies outside uc(W).  Each added word
+lies outside uc(W), so Higman's lemma ends the loop.  Saturating the k-bounded
+automaton gives an under-approximation, exact once k reaches the classical
+run-length recurrence over the number of places.  Downward closures use the
+cutoff abstraction for communication-free nets and the coverability graph in
+general.
 
 One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
 ``reachability_fsa`` over markings and ``dc_fsa_bpp`` over cutoff-abstracted
@@ -13,18 +18,15 @@ markings; ``dc_fsa_pn`` reads the accelerated search's graph (``km_graph``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import BudgetExceeded, CertifiedBoundTooLarge, NotBpp
-from .fsa import Fsa, included, saturate_up
-from .nets import EPSILON, NetInstance, fire, is_bpp
-from .reach import OMEGA, km_graph, om_covers_marking, om_fire
+from .errors import BudgetExceeded, NotBpp
+from .fsa import Fsa, saturate_up
+from .nets import EPSILON, NetInstance, fire, is_bpp, subword, sync_with_fsa
+from .reach import OMEGA, coverable, km_graph, om_covers_marking, om_fire
 
 #: Materializing integers beyond this many bits is pointless for desk work.
 MAX_VALUE_BITS = 10**7
-#: Consecutive doublings of k with an unchanged language after which
-#: ``uc_fsa(mode="adaptive")`` stops.
-STABLE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -209,64 +211,80 @@ def reachability_fsa(inst: NetInstance, max_states: int = 200_000) -> Fsa | None
 @dataclass(frozen=True)
 class ClosureResult:
     fsa: Fsa
-    exactness: str  # "exact" | "under" | "heuristic" | "partial"
-    k_used: int | None = None
-    bound: BoundReport | None = None
+    exactness: str  # "exact" | "under" | "partial"
 
     @property
     def exact(self) -> bool:
         return self.exactness == "exact"
 
 
+def _basis_dfa(alphabet, basis, max_states) -> Fsa:
+    """Complete DFA of uc(basis).
+
+    A state holds, for each word of the basis, the length of its longest
+    prefix embedded in the input so far.  Once some word is embedded whole,
+    the input lies in uc(basis) and the state is the accepting sink None.
+    """
+
+    def settle(q):
+        return None if any(j == len(w) for j, w in zip(q, basis)) else q
+
+    def successors(q):
+        for x in alphabet:
+            if q is None:
+                yield x, None
+            else:
+                yield x, settle(tuple(j + (w[j] == x) for j, w in zip(q, basis)))
+
+    return _explore(
+        alphabet,
+        settle((0,) * len(basis)),
+        successors,
+        lambda q: q is None,
+        max_states,
+        "upward-closure automaton states",
+    )
+
+
 def uc_fsa(
     inst: NetInstance,
-    mode: str = "adaptive",
+    mode: str = "exact",
     k: int | None = None,
-    ceiling: int = 10**6,
-    k_cap: int = 64,
-    max_states: int = 2_000_000,
+    max_states: int = 200_000,
 ) -> ClosureResult:
     """Upward-closure automaton.
 
-    mode="certified": run length f(places), exact but only feasible for tiny
-    instances (refuses above the ceiling).  mode="user_k": saturate the
-    k-bounded automaton; exact iff k reaches the certified bound.
-    mode="adaptive": double k until the language is stable for a few rounds;
-    flagged heuristic.
+    mode="exact": the exact closure on every net.  Communication-free nets
+    take ``uc_fsa_bpp``.  Other nets grow a basis W of words of the language,
+    starting empty: while the net has a covering run whose word lies outside
+    uc(W), found by backward coverability on the net synchronized with the
+    complement of uc(W), add that word to W and drop the words of W that
+    contain it as a subword.  ``max_states`` bounds both the automaton of
+    uc(W) and each coverability query.
+    mode="user_k": saturate the k-bounded automaton; exact iff k reaches the
+    run-length bound ``rackoff_bound``, an under-approximation otherwise.
     """
-    if mode == "certified":
-        report = rackoff_bound(inst)
-        if report.value is None or report.value > ceiling:
-            raise CertifiedBoundTooLarge(report, ceiling)
-        fsa = saturate_up(k_bounded_fsa(inst, report.value, max_states))
-        return ClosureResult(fsa, "exact", k_used=report.value, bound=report)
     if mode == "user_k":
         if k is None:
             raise ValueError("user_k mode needs k")
-        report = rackoff_bound(inst)
+        bound = rackoff_bound(inst).value
         fsa = saturate_up(k_bounded_fsa(inst, k, max_states))
-        exactness = "exact" if report.value is not None and k >= report.value else "under"
-        return ClosureResult(fsa, exactness, k_used=k, bound=report)
-    if mode == "adaptive":
-        current = saturate_up(k_bounded_fsa(inst, 1, max_states))
-        k_used = 1
-        stable = 0
-        step = 2
-        while step <= k_cap:
-            nxt = saturate_up(k_bounded_fsa(inst, step, max_states))
-            # saturate_up(k_bounded_fsa(inst, k)) only grows with k, so
-            # current <= nxt holds and one inclusion decides equivalence
-            if included(nxt, current)[0]:
-                stable += 1
-            else:
-                stable = 0
-            current = nxt
-            k_used = step
-            if stable >= STABLE_ROUNDS:
-                break
-            step *= 2
-        return ClosureResult(current, "heuristic", k_used=k_used)
-    raise ValueError(f"unknown mode {mode!r}")
+        return ClosureResult(fsa, "exact" if bound is not None and k >= bound else "under")
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    if is_bpp(inst.net):
+        return ClosureResult(uc_fsa_bpp(inst, max_states), "exact")
+    basis = []
+    while True:
+        inside = _basis_dfa(inst.net.alphabet, basis, max_states)
+        outside = replace(inside, finals=inside.states - inside.finals)
+        synced = sync_with_fsa(inst.net, outside, "full")
+        found, run = coverable(synced.make_instance(inst), max_states)
+        if not found:
+            return ClosureResult(inside, "exact")
+        labels = (synced.net.transition(name).label for name in run)
+        w = tuple(x for x in labels if x != EPSILON)
+        basis = [u for u in basis if not subword(w, u)] + [w]
 
 
 def uc_fsa_bpp(inst: NetInstance, max_states: int = 200_000) -> Fsa:

@@ -61,13 +61,3 @@ class ParseError(CovlangError):
         detail = f", got {got!r}" if got is not None else ""
         super().__init__(f"line {line_no}: expected {expected}{detail}")
 
-
-class CertifiedBoundTooLarge(CovlangError):
-    """The certified exploration bound exceeds the configured ceiling."""
-
-    def __init__(self, report, ceiling):
-        self.report = report
-        self.ceiling = ceiling
-        super().__init__(
-            f"certified bound {report.describe()} exceeds ceiling {ceiling}"
-        )

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .closures import dc_fsa_bpp, dc_fsa_pn, uc_fsa, uc_fsa_bpp
-from .errors import BudgetExceeded, CertifiedBoundTooLarge
+from .closures import dc_fsa_bpp, dc_fsa_pn, uc_fsa
+from .errors import BudgetExceeded
 from .fsa import Fsa, _step_fn, trim_coaccessible
 from .nets import (
     EPSILON,
@@ -221,33 +221,23 @@ def is_closed(
     """Is the coverability language equal to its upward or downward closure?
 
     One inclusion always holds, so the question reduces to containment of the
-    closure automaton in the language; unknown when no exact closure automaton
-    fits the budget.
+    exact closure automaton in the language.  The upward closure is exact on
+    every net; the downward one on communication-free nets and wherever the
+    coverability graph completes.  Unknown when a budget of max_nodes runs
+    out.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    bpp = is_bpp(inst.net)
     try:
-        if direction == "down":
-            if bpp:
-                closure = dc_fsa_bpp(inst, max_states=max_nodes)
-            else:
-                result = dc_fsa_pn(inst, max_nodes=max_nodes)
-                if not result.exact:
-                    return IsClosedResult(
-                        "unknown", detail="coverability graph budget exceeded"
-                    )
-                closure = result.fsa
+        if direction == "up":
+            closure = uc_fsa(inst, max_states=max_nodes).fsa
+        elif is_bpp(inst.net):
+            closure = dc_fsa_bpp(inst, max_states=max_nodes)
         else:
-            if bpp:
-                closure = uc_fsa_bpp(inst, max_states=max_nodes)
-            else:
-                closure = uc_fsa(inst, mode="certified").fsa
-    except CertifiedBoundTooLarge as err:
-        return IsClosedResult("unknown", detail=str(err))
-    except BudgetExceeded as err:
-        return IsClosedResult("unknown", detail=str(err))
-    try:
+            result = dc_fsa_pn(inst, max_nodes=max_nodes)
+            if not result.exact:
+                return IsClosedResult("unknown", detail="coverability graph budget exceeded")
+            closure = result.fsa
         ok, word = regular_included_in_lang(closure, inst, max_nodes)
     except BudgetExceeded as err:
         return IsClosedResult("unknown", detail=str(err))

@@ -80,7 +80,7 @@ def chain(limit, at_least=False):
 def test_criterion_1_rackoff_counterexample_upward_closure():
     inst = rackoff_counterexample()
     started = time.perf_counter()
-    result = uc_fsa(inst, mode="adaptive")
+    result = uc_fsa(inst)
     elapsed = time.perf_counter() - started
     expected = to_fsa(
         Sre(

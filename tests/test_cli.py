@@ -1,11 +1,14 @@
+import argparse
 import io
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from covlang.cli import main
+from covlang.cli import build_parser, main
 from covlang.fsa import enumerate_words
 from covlang.textio import parse_fsa, parse_net, print_net
 from covlang.families import bpp_power_instance, rackoff_counterexample
@@ -158,6 +161,26 @@ class TestExportAndErrors:
         assert code == 3 and out == ""
         assert err.startswith("covlang: ") and "sre_in_uc_pn" in err
 
+    def test_negative_node_budget_is_a_usage_error(self, rackoff_doc):
+        for command in (["cover"], ["sre-in", "--dir", "up", "-e", "a"]):
+            code, out, err = run_cli(
+                ["--budget-nodes", "-1", *command], stdin_text=rackoff_doc
+            )
+            assert code == 64 and out == ""
+            assert "--budget-nodes" in err
+
+    def test_closure_up_node_budget_is_unknown(self, rackoff_doc):
+        argv = ["--budget-nodes", "1", "closure", "--dir", "up"]
+        code, out, err = run_cli(argv, stdin_text=rackoff_doc)
+        assert code == 2 and out == ""
+        assert "budget of 1 exceeded" in err
+
+    def test_closure_down_rejects_mode(self, rackoff_doc):
+        argv = ["closure", "--dir", "down", "--mode", "bogus"]
+        code, out, err = run_cli(argv, stdin_text=rackoff_doc)
+        assert code == 3 and out == ""
+        assert err.startswith("covlang: parse error: ")
+
     @pytest.mark.parametrize("mode", ["k=x", "k=-1"])
     def test_closure_bad_k_is_a_parse_error(self, rackoff_doc, mode):
         argv = ["closure", "--dir", "up", "--mode", mode]
@@ -204,9 +227,50 @@ class TestExportAndErrors:
 
 
 class TestDeterminism:
-    def test_closure_output_stable(self, power2_doc):
-        outputs = {
-            run_cli(["closure", "--dir", "down"], stdin_text=power2_doc)[1]
-            for _ in range(3)
+    def test_closure_output_stable(self, power2_doc, rackoff_doc):
+        for doc, direction in ((power2_doc, "down"), (rackoff_doc, "up")):
+            outputs = {
+                run_cli(["closure", "--dir", direction], stdin_text=doc)[1]
+                for _ in range(3)
+            }
+            assert len(outputs) == 1
+            assert outputs.pop().startswith("# exactness: exact\n")
+
+
+def _readme_cli_section():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = text.index("\n## CLI\n")
+    return text[start : text.index("\n## ", start + 1)]
+
+
+def _parser_and_commands():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def _named(option, text):
+    return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text) is not None
+
+
+class TestReadmeSynopsis:
+    def test_every_command_and_global_option_is_documented(self):
+        section = _readme_cli_section()
+        parser, commands = _parser_and_commands()
+        for name in commands:
+            assert re.search(rf"`{re.escape(name)}[` ]", section), name
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                spellings = action.option_strings
+                assert any(_named(s, section) for s in spellings), spellings
+
+    def test_every_documented_option_exists(self):
+        parser, commands = _parser_and_commands()
+        known = {
+            s
+            for p in (parser, *commands.values())
+            for action in p._actions
+            for s in action.option_strings
         }
-        assert len(outputs) == 1
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_cli_section()))
+        assert named <= known, sorted(named - known)

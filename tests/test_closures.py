@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from covlang.closures import (
     uc_fsa,
     uc_fsa_bpp,
 )
-from covlang.errors import CertifiedBoundTooLarge, NotBpp
+from covlang.errors import BudgetExceeded, NotBpp
 from covlang.families import bpp_power_instance
 from covlang.fsa import (
     accepts,
@@ -27,7 +28,7 @@ from covlang.fsa import (
     make_fsa,
     minimal_dfa_size,
 )
-from covlang.nets import EPSILON, Marking, NetInstance, PetriNet, Transition
+from covlang.nets import EPSILON, Marking, NetInstance, PetriNet, Transition, is_bpp
 from covlang.reach import brute_force_language, member
 
 
@@ -155,7 +156,7 @@ class TestUcFsa:
         dead = NetInstance(
             power2.net, power2.initial, Marking.of(power2.net, {"pf": 5})
         )
-        result = uc_fsa(dead, mode="adaptive")
+        result = uc_fsa(dead)
         assert is_empty(result.fsa)[0]
 
     def test_power_user_k(self, power2):
@@ -163,18 +164,37 @@ class TestUcFsa:
         assert equivalent(result.fsa, chain_fsa(4, at_least=True))
         assert result.exactness == "under"
 
-    def test_certified_refuses_large_bounds(self, rackoff_ce):
-        with pytest.raises(CertifiedBoundTooLarge):
-            uc_fsa(rackoff_ce, mode="certified")
+    def test_exact_on_rackoff_ce(self, rackoff_ce):
+        result = uc_fsa(rackoff_ce)
+        assert result.exactness == "exact"
+        assert equivalent(result.fsa, uc_fsa(rackoff_ce, mode="user_k", k=2).fsa)
 
-    def test_certified_runs_on_trivial_net(self):
+    def test_exact_on_trivial_net(self):
         net = PetriNet(("a",), ("p",), (Transition.make("t", "a", {"p": 1}, {}),))
         inst = NetInstance(net, Marking.of(net, {"p": 1}), Marking.zero(net))
-        result = uc_fsa(inst, mode="certified", ceiling=10**9)
+        result = uc_fsa(inst)
         assert result.exactness == "exact"
         # language is {eps, a}; upward closure is everything
-        assert accepts(result.fsa, ())
-        assert accepts(result.fsa, ("a", "a", "a"))
+        assert equivalent(result.fsa, chain_fsa(0, at_least=True))
+
+    def test_exact_agrees_with_membership(self):
+        """On synchronizing nets the exact closure accepts a word iff
+        backward coverability puts it in uc(L)."""
+        rng = random.Random(2027)
+        nets = 0
+        while nets < 500:
+            inst = random_net(rng, max_places=4, max_transitions=4, max_weight=2)
+            if is_bpp(inst.net):
+                continue
+            nets += 1
+            closure = uc_fsa(inst).fsa
+            for n in range(4):
+                for w in itertools.product(inst.net.alphabet, repeat=n):
+                    assert accepts(closure, w) == member(w, inst, "up"), (nets, w)
+
+    def test_exact_budget(self, rackoff_ce):
+        with pytest.raises(BudgetExceeded):
+            uc_fsa(rackoff_ce, max_states=1)
 
     def test_monotone_in_k(self, rackoff_ce):
         results = [uc_fsa(rackoff_ce, mode="user_k", k=k).fsa for k in (1, 2, 3)]

@@ -275,8 +275,11 @@ class TestIsClosed:
         inst = NetInstance(net, Marking.of(net, {"p": 1}), Marking.of(net, {"q": 1}))
         assert is_closed(inst, "down").answer == "yes"
 
-    def test_unknown_when_certified_bound_is_hopeless(self, rackoff_ce):
-        assert is_closed(rackoff_ce, "up").answer == "unknown"
+    def test_rackoff_ce_is_not_upward_closed(self, rackoff_ce):
+        result = is_closed(rackoff_ce, "up")
+        assert result.answer == "no"
+        w = result.counterexample
+        assert member(w, rackoff_ce, "up") and not member(w, rackoff_ce, "exact")
 
     def test_counterexample_is_downward_gap(self, rackoff_ce):
         result = is_closed(rackoff_ce, "down")
