@@ -1,8 +1,9 @@
 """Finite automata with silent edges, closure saturation, and exact decisions.
 
 Decision queries (emptiness, membership, inclusion, equivalence) run an
-on-the-fly subset construction with memoized epsilon closures.  Counterexamples
-are length-lexicographically minimal, which keeps test failures reproducible.
+on-the-fly subset construction with memoized steps and epsilon closures.
+Counterexamples are length-lexicographically minimal, which keeps test
+failures reproducible.
 """
 
 from __future__ import annotations
@@ -105,10 +106,15 @@ def _closure_fn(a: Fsa):
 def _step_fn(a: Fsa):
     out = a.out_edges()
     close = _closure_fn(a)
+    cache = {}
 
     def step(states: frozenset, letter: str) -> frozenset:
-        nxt = {q2 for q in states for lab, q2 in out.get(q, ()) if lab == letter}
-        return close(frozenset(nxt))
+        key = (states, letter)
+        result = cache.get(key)
+        if result is None:
+            nxt = {q2 for q in states for lab, q2 in out.get(q, ()) if lab == letter}
+            result = cache[key] = close(frozenset(nxt))
+        return result
 
     return step, close
 

@@ -6,7 +6,12 @@ omega-markings reachable on the same trace.  Silent net transitions are closed
 off with acceleration, so silent pumps become omega and the tree stays finite;
 nodes dominating an ancestor with the same automaton component are pruned.
 The silent closure is the accelerated search of ``reach``, restricted to
-silent transitions and started from every marking of the antichain.
+silent transitions and started from every distinct marking one letter reaches.
+Its antichain is computed in one pass: markings in descending order of omega
+count and token sum, each compared only with kept markings whose support
+contains its own.  A successor whose automaton states have no lettered
+out-edge, such as the end-letter sink of ``regular_included_in_lang``, is a
+dead end: it only needs its letter to be enabled, and no closure is built.
 """
 
 from __future__ import annotations
@@ -25,18 +30,51 @@ from .nets import (
     append_final_letter,
     is_bpp,
 )
-from .reach import _accelerated_search, om_fire, om_geq
+from .reach import OMEGA, _accelerated_search, om_fire, om_geq
+
+
+def _support(m) -> int:
+    """Bitmask of the places holding a token or omega."""
+    mask = 0
+    for i, v in enumerate(m):
+        if v is OMEGA or v:
+            mask |= 1 << i
+    return mask
+
+
+def _rank(m) -> tuple:
+    """(omega count, finite token sum): a strict dominator ranks higher."""
+    omegas = total = 0
+    for v in m:
+        if v is OMEGA:
+            omegas += 1
+        else:
+            total += v
+    return omegas, total
 
 
 def _maximal(markings) -> tuple:
-    """Antichain of maximal elements under the omega-extended order."""
-    result = []
-    for m in markings:
-        if any(om_geq(other, m) for other in result):
+    """Antichain of maximal elements under the omega-extended order, sorted
+    by repr.
+
+    Distinct markings are visited by descending rank, so every strict
+    dominator of a marking is visited, and kept or dominated itself, before
+    it; a marking is dropped when some kept one covers it and never removed
+    later.  Kept markings are grouped by support, and only groups whose
+    support contains the candidate's are compared.
+    """
+    groups = {}
+    kept = []
+    for m in sorted(set(markings), key=_rank, reverse=True):
+        support = _support(m)
+        if any(
+            mask & support == support and any(om_geq(k, m) for k in group)
+            for mask, group in groups.items()
+        ):
             continue
-        result = [other for other in result if not om_geq(m, other)]
-        result.append(m)
-    return tuple(sorted(result, key=repr))
+        groups.setdefault(support, []).append(m)
+        kept.append(m)
+    return tuple(sorted(kept, key=repr))
 
 
 def silent_closure(net: PetriNet, markings, max_nodes: int = 50_000):
@@ -72,15 +110,19 @@ def _net_steps(net: PetriNet):
 
 def _letter_step(net: PetriNet, s, names, max_nodes: int) -> tuple:
     """Antichain after one letter: fire each of its transitions ``names`` from
-    every marking of ``s``, keep the maximal results, close them off
-    silently."""
-    moved = []
+    every marking of ``s`` and close the distinct results off silently."""
+    moved = {}
     for m in s:
         for name in names:
             succ = om_fire(net, m, name)
             if succ is not None:
-                moved.append(succ)
-    return silent_closure(net, _maximal(moved), max_nodes)[0]
+                moved[succ] = None
+    return silent_closure(net, moved, max_nodes)[0]
+
+
+def _enabled(net: PetriNet, s, names) -> bool:
+    """Some transition of ``names`` is enabled at some marking of ``s``."""
+    return any(om_fire(net, m, name) is not None for m in s for name in names)
 
 
 def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000):
@@ -88,10 +130,17 @@ def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000)
 
     Returns (True, None) or (False, counterexample-trace); the counterexample
     is length-lexicographically minimal.
+
+    A successor whose automaton states have no lettered out-edge is a dead
+    end: it has no children, and no ancestor can subsume it, since an
+    ancestor has children.  It only needs some transition of its letter to be
+    enabled, so its silent closure is never built; it still counts against
+    ``max_nodes``.
     """
     step_a, close_a = _step_fn(a)
     by_label = _net_steps(net)
     letters = sorted(a.alphabet)
+    lettered = frozenset(q for q, x, _ in a.transitions if x != EPSILON)
 
     start_qa = close_a(frozenset([a.initial]))
     start_s, _ = silent_closure(net, [tuple(m0.counts)], max_nodes)
@@ -105,20 +154,27 @@ def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000)
             qa2 = step_a(qa, x)
             if not qa2:
                 continue
-            s2 = _letter_step(net, s, by_label.get(x, ()), max_nodes)
-            if not s2:
-                return False, w + (x,)
-            subsumed = any(
-                qa0 == qa2 and all(any(om_geq(m, m0_) for m in s2) for m0_ in s0)
-                for qa0, s0 in ancestors
-            )
-            if subsumed:
-                continue
+            names = by_label.get(x, ())
+            dead_end = lettered.isdisjoint(qa2)
+            if dead_end:
+                if not _enabled(net, s, names):
+                    return False, w + (x,)
+            else:
+                s2 = _letter_step(net, s, names, max_nodes)
+                if not s2:
+                    return False, w + (x,)
+                subsumed = any(
+                    qa0 == qa2 and all(any(om_geq(m, m0_) for m in s2) for m0_ in s0)
+                    for qa0, s0 in ancestors
+                )
+                if subsumed:
+                    continue
             visited += 1
             if visited > max_nodes:
                 raise BudgetExceeded("trace-tree nodes", max_nodes)
-            node = (qa2, s2)
-            queue.append((qa2, s2, w + (x,), ancestors + (node,)))
+            if not dead_end:
+                node = (qa2, s2)
+                queue.append((qa2, s2, w + (x,), ancestors + (node,)))
     return True, None
 
 
@@ -151,14 +207,13 @@ def _append_accept_letter(a: Fsa, letter: str, alphabet) -> Fsa | None:
     transitions = set(trimmed.transitions)
     for q in trimmed.finals:
         transitions.add((q, letter, sink))
-    lifted = Fsa(
+    return Fsa(
         tuple(alphabet),
         frozenset(states),
         frozenset(transitions),
         trimmed.initial,
         frozenset([sink]),
     )
-    return trim_coaccessible(lifted)
 
 
 def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000):

@@ -4,6 +4,7 @@ import pytest
 
 from corpus import random_fsa, random_net
 from covlang.errors import BudgetExceeded
+from covlang.families import ackermann_instance, ackermann_value
 from covlang.fsa import make_fsa, word_fsa
 from covlang.nets import (
     EPSILON,
@@ -13,8 +14,9 @@ from covlang.nets import (
     Transition,
     fire,
 )
-from covlang.reach import OMEGA, member, om_accelerate, om_fire
+from covlang.reach import OMEGA, member, om_accelerate, om_fire, om_geq
 from covlang.trace_inclusion import (
+    _maximal,
     is_closed,
     net_has_trace,
     regular_included_in_lang,
@@ -121,6 +123,36 @@ class TestTracesIncluded:
                 continue
             assert not net_has_trace(inst.net, inst.initial, ce)
             assert net_has_trace(inst.net, inst.initial, ce[:-1])
+
+
+def _maximal_reference(markings):
+    """Quadratic antichain: insert each marking, evicting what it dominates."""
+    result = []
+    for m in markings:
+        if any(om_geq(other, m) for other in result):
+            continue
+        result = [other for other in result if not om_geq(m, other)]
+        result.append(m)
+    return tuple(sorted(result, key=repr))
+
+
+class TestMaximal:
+    def test_matches_quadratic_reference(self):
+        rng = random.Random(17)
+        values = (0, 0, 1, 2, 3, OMEGA)
+        for _ in range(3_000):
+            places = rng.randint(1, 4)
+            pool = [
+                tuple(rng.choice(values) for _ in range(places))
+                for _ in range(rng.randint(1, 8))
+            ]
+            markings = [rng.choice(pool) for _ in range(rng.randint(0, 16))]
+            assert _maximal(markings) == _maximal_reference(markings), markings
+
+    def test_result_is_a_sorted_antichain(self):
+        result = _maximal([(1, OMEGA), (2, 3), (1, 3), (OMEGA, 0), (2, 3)])
+        assert result == tuple(sorted(result, key=repr))
+        assert set(result) == {(1, OMEGA), (2, 3), (OMEGA, 0)}
 
 
 class TestSilentClosure:
@@ -251,6 +283,40 @@ class TestRegularInclusion:
             a = word_fsa(inst.net.alphabet, w)
             ok, _ce = regular_included_in_lang(a, inst)
             assert ok == member(w, inst, "exact")
+
+
+def _chain_fsa(length, all_final):
+    """a^length, or every a^k with k <= length when all_final."""
+    states = range(length + 1)
+    finals = states if all_final else [length]
+    return make_fsa(("a",), states, {(i, "a", i + 1) for i in range(length)}, 0, finals)
+
+
+class TestAckermann:
+    """The family's language is {a^k : k <= A_n(x)}: neither closed upward nor
+    strictly more than its downward closure."""
+
+    @pytest.mark.parametrize("n, x", [(2, 1), (3, 0)])
+    def test_is_closed(self, n, x):
+        inst = ackermann_instance(n, x)
+        value = ackermann_value(n, x)
+        up = is_closed(inst, "up")
+        assert up.answer == "no" and up.counterexample == ("a",) * (value + 1)
+        assert is_closed(inst, "down").answer == "yes"
+
+    @pytest.mark.parametrize("n, x", [(2, 1), (3, 0)])
+    def test_regular_inclusion(self, n, x):
+        inst = ackermann_instance(n, x)
+        value = ackermann_value(n, x)
+        assert regular_included_in_lang(_chain_fsa(value, True), inst) == (True, None)
+        beyond = _chain_fsa(value + 1, False)
+        assert regular_included_in_lang(beyond, inst) == (False, ("a",) * (value + 1))
+
+    @pytest.mark.parametrize("direction, enough", [("up", 579), ("down", 869)])
+    def test_smallest_sufficient_budget(self, direction, enough):
+        inst = ackermann_instance(2, 1)
+        assert is_closed(inst, direction, max_nodes=enough - 1).answer == "unknown"
+        assert is_closed(inst, direction, max_nodes=enough).answer != "unknown"
 
 
 class TestIsClosed:
