@@ -194,7 +194,9 @@ def _closure_result(args, inst):
     if mode is None:
         result = uc_fsa(inst, max_states=args.budget_nodes)
     elif mode.startswith("k=") and mode[2:].isascii() and mode[2:].isdigit():
-        result = uc_fsa(inst, mode="user_k", k=int(mode[2:]))
+        result = uc_fsa(
+            inst, mode="user_k", k=int(mode[2:]), max_states=args.budget_nodes
+        )
     else:
         raise ParseError(0, "k=K with K a non-negative integer", mode)
     return result.fsa, result.exactness

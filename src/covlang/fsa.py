@@ -1,9 +1,14 @@
 """Finite automata with silent edges, closure saturation, and exact decisions.
 
 Decision queries (emptiness, membership, inclusion, equivalence) run an
-on-the-fly subset construction with memoized steps and epsilon closures.
-Counterexamples are length-lexicographically minimal, which keeps test
-failures reproducible.
+on-the-fly subset construction with memoized steps and epsilon closures over
+frozensets; they visit few subsets.  Counterexamples are
+length-lexicographically minimal, which keeps test failures reproducible.
+
+Minimization builds the whole DFA instead: ``determinize`` numbers the
+states, closes them under silent edges once, and runs the subset
+construction on int bitmasks; ``minimal_dfa_size`` refines its partition
+with Hopcroft's algorithm.
 """
 
 from __future__ import annotations
@@ -188,47 +193,174 @@ def equivalent(a: Fsa, b: Fsa) -> bool:
     return included(a, b)[0] and included(b, a)[0]
 
 
+def _silent_closures(silent) -> list[int]:
+    """Each state's epsilon closure as a bitmask, in one pass (Tarjan's SCCs).
+
+    ``silent[i]`` lists the silent successors of state i.  A strongly
+    connected component is finished after every component it reaches, so its
+    closure is its own bits joined with the closures of those components.
+    A finished state's closure holds at least its own bit, so 0 marks the
+    states still unfinished.
+    """
+    n = len(silent)
+    closure = [0] * n
+    order = [0] * n  # discovery number, 0 while unvisited
+    low = [0] * n
+    stack = []
+    counter = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(silent[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if not order[w]:
+                    counter += 1
+                    order[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(silent[w])))
+                    break
+                if not closure[w]:  # on the stack: same component as v
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    members = []
+                    mask = 0
+                    while not members or members[-1] != v:
+                        m = stack.pop()
+                        members.append(m)
+                        mask |= 1 << m
+                        for w in silent[m]:
+                            mask |= closure[w]
+                    for m in members:
+                        closure[m] = mask
+    return closure
+
+
+def _join_byte(row, pos: int, byte: int) -> int:
+    """The union of ``row[8 * pos + i]`` over the set bits i of byte."""
+    out = 0
+    base = pos * 8
+    for i in range(8):
+        if byte >> i & 1:
+            out |= row[base + i]
+    return out
+
+
 def determinize(a: Fsa):
-    """Complete DFA as (states, delta, initial, finals) over subset states."""
-    step, close = _step_fn(a)
+    """Complete DFA of a, by subset construction over bitmasks.
+
+    Returns (subsets, delta, initial, finals).  DFA state i is the int mask
+    subsets[i], whose bit j stands for the j-th state of ``a.states`` in its
+    iteration order; states are numbered breadth-first, so initial is 0.
+    delta[c][i] is the successor of state i on the c-th letter of
+    sorted(a.alphabet), and finals is the set of accepting DFA states.  The
+    empty mask 0 is the sink, present whenever some step reaches it.
+
+    Each state's epsilon closure is computed once; a step ORs the closed
+    letter successors of the subset's states, eight states at a time, with
+    each (letter, byte position, byte value) joined once and memoized.
+    """
     letters = sorted(a.alphabet)
-    start = close(frozenset([a.initial]))
-    states = {start}
-    delta = {}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for x in letters:
-            nxt = step(s, x)  # frozenset() is the explicit sink
-            delta[(s, x)] = nxt
-            if nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
-    if any(delta[(s, x)] == frozenset() for s in states for x in letters):
-        states.add(frozenset())
-        for x in letters:
-            delta[(frozenset(), x)] = frozenset()
-    finals = {s for s in states if s & a.finals}
-    return states, delta, start, finals
+    index = {q: i for i, q in enumerate(a.states)}
+    silent = [[] for _ in index]
+    for q, x, q2 in a.transitions:
+        if x == EPSILON:
+            silent[index[q]].append(index[q2])
+    closure = _silent_closures(silent)
+    column = {x: c for c, x in enumerate(letters)}
+    rows = [[0] * len(index) for _ in letters]  # closed successor masks
+    for q, x, q2 in a.transitions:
+        if x != EPSILON:
+            rows[column[x]][index[q]] |= closure[index[q2]]
+    width = (len(index) + 7) // 8
+    memos = [{} for _ in letters]
+    start = closure[index[a.initial]]
+    subsets = [start]
+    number = {start: 0}
+    delta = [[] for _ in letters]
+    for mask in subsets:  # grows while it is walked: breadth-first order
+        raw = mask.to_bytes(width, "little")
+        chunks = [(pos, byte) for pos, byte in enumerate(raw) if byte]
+        for row, memo, out in zip(rows, memos, delta):
+            nxt = 0
+            for pos, byte in chunks:
+                key = pos << 8 | byte
+                part = memo.get(key)
+                if part is None:
+                    part = memo[key] = _join_byte(row, pos, byte)
+                nxt |= part
+            target = number.get(nxt)
+            if target is None:
+                target = number[nxt] = len(subsets)
+                subsets.append(nxt)
+            out.append(target)
+    accepting = 0
+    for q in a.finals:
+        accepting |= 1 << index[q]
+    finals = {i for i, mask in enumerate(subsets) if mask & accepting}
+    return subsets, delta, 0, finals
 
 
 def minimal_dfa_size(a: Fsa) -> int:
-    """Number of states of the canonical minimal complete DFA (Moore refinement)."""
-    states, delta, _start, finals = determinize(a)
-    letters = sorted(a.alphabet)
-    # iterative partition refinement
-    block = {s: (s in finals) for s in states}
-    while True:
-        signature = {
-            s: (block[s],) + tuple(block[delta[(s, x)]] for x in letters) for s in states
-        }
-        classes = {}
-        for s in states:
-            classes.setdefault(signature[s], len(classes))
-        new_block = {s: classes[signature[s]] for s in states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            return len(set(new_block.values()))
-        block = new_block
+    """Number of states of the canonical minimal complete DFA.
+
+    Hopcroft's partition refinement (1971) on the DFA of ``determinize``:
+    start from finals and non-finals, split blocks by the predecessors of a
+    waiting splitter block, and of a split block that is not waiting queue
+    only the smaller half.  O(k n log n) for k letters and n DFA states.
+    """
+    subsets, delta, _initial, finals = determinize(a)
+    n = len(subsets)
+    blocks = [members for members in (set(finals), set(range(n)) - finals) if members]
+    if len(blocks) < 2:
+        return len(blocks)
+    inverse = []
+    for targets in delta:
+        sources = [[] for _ in range(n)]
+        for i, j in enumerate(targets):
+            sources[j].append(i)
+        inverse.append(sources)
+    block_of = [0] * n
+    for i in blocks[1]:
+        block_of[i] = 1
+    smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
+    waiting = [smaller]
+    queued = {smaller}
+    while waiting:
+        splitter = waiting.pop()
+        queued.discard(splitter)
+        inside = list(blocks[splitter])  # the splitter may split below
+        for sources in inverse:
+            touched = {}
+            for j in inside:
+                for i in sources[j]:
+                    touched.setdefault(block_of[i], []).append(i)
+            for b, members in touched.items():
+                block = blocks[b]
+                if len(members) == len(block):
+                    continue
+                new = len(blocks)
+                moved = set(members)
+                block -= moved
+                blocks.append(moved)
+                for i in members:
+                    block_of[i] = new
+                if b in queued or len(moved) <= len(block):
+                    add = new
+                else:
+                    add = b
+                queued.add(add)
+                waiting.append(add)
+    return len(blocks)
 
 
 def enumerate_words(a: Fsa, k: int) -> set:

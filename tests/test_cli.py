@@ -175,6 +175,13 @@ class TestExportAndErrors:
         assert code == 2 and out == ""
         assert "budget of 1 exceeded" in err
 
+    def test_closure_up_k_mode_keeps_node_budget(self):
+        doc = print_net(bpp_power_instance(4))
+        argv = ["--budget-nodes", "5", "closure", "--dir", "up", "--mode", "k=40"]
+        code, out, err = run_cli(argv, stdin_text=doc)
+        assert code == 2 and out == ""
+        assert "budget of 5 exceeded" in err
+
     def test_closure_down_rejects_mode(self, rackoff_doc):
         argv = ["closure", "--dir", "down", "--mode", "bogus"]
         code, out, err = run_cli(argv, stdin_text=rackoff_doc)

@@ -13,13 +13,16 @@ from covlang.fsa import (
     included,
     is_empty,
     make_fsa,
+    determinize,
     minimal_dfa_size,
     saturate_down,
     saturate_up,
     trim_coaccessible,
     word_fsa,
 )
-from covlang.nets import subword
+from covlang.closures import dc_fsa_bpp, uc_fsa_bpp
+from covlang.families import bpp_power_instance
+from covlang.nets import EPSILON, subword
 
 
 def brute_words(alphabet, k):
@@ -166,6 +169,91 @@ class TestMinimalDfaSize:
             ("a",), range(5), [(i, "a", min(i + 1, 4)) for i in range(5)], 0, {4}
         )
         assert minimal_dfa_size(tail) == 5
+
+    def test_agrees_with_moore_and_frozenset_subsets(self):
+        rng = random.Random(2024)
+        for _ in range(2500):
+            a = _random_nfa(rng)
+            states, _delta, _start, _finals = _oracle_determinize(a)
+            assert len(determinize(a)[0]) == len(states)
+            assert minimal_dfa_size(a) == _oracle_minimal_size(a)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_power_family_closed_forms(self, n):
+        inst = bpp_power_instance(n)
+        assert minimal_dfa_size(dc_fsa_bpp(inst)) == 2**n + 2
+        assert minimal_dfa_size(uc_fsa_bpp(inst)) == 2**n + 1
+
+
+_NAMES = [*range(10), -1, (0,), (1, "x"), ((), None), None, "q", ("q", 0)]
+
+
+def _random_nfa(rng):
+    """NFA with mixed state names, silent cycles and unreachable states; some
+    have more than eight states, so their subsets span two bytes."""
+    alphabet = rng.sample(("a", "b", "c"), rng.randint(0, 3))
+    size = rng.randint(1, 7) if rng.random() < 0.7 else rng.randint(8, 14)
+    states = rng.sample(_NAMES, size)
+    labels = alphabet + [EPSILON]
+    edges = {
+        (rng.choice(states), rng.choice(labels), rng.choice(states))
+        for _ in range(rng.randint(0, 3 * len(states)))
+    }
+    if rng.random() < 0.3:
+        cycle = rng.sample(states, rng.randint(1, len(states)))
+        edges |= {(q, EPSILON, q2) for q, q2 in zip(cycle, cycle[1:] + cycle[:1])}
+    finals = {q for q in states if rng.random() < 0.3} if rng.random() < 0.8 else set()
+    return make_fsa(alphabet, states, edges, rng.choice(states), finals)
+
+
+def _oracle_determinize(a):
+    """Complete DFA over frozenset subset states, by breadth-first search."""
+    out = {}
+    for q, x, q2 in a.transitions:
+        out.setdefault((q, x), set()).add(q2)
+
+    def close(states):
+        seen = set(states)
+        stack = list(states)
+        while stack:
+            for q2 in out.get((stack.pop(), EPSILON), ()):
+                if q2 not in seen:
+                    seen.add(q2)
+                    stack.append(q2)
+        return frozenset(seen)
+
+    letters = sorted(a.alphabet)
+    start = close({a.initial})
+    states = {start}
+    delta = {}
+    queue = [start]
+    for s in queue:
+        for x in letters:
+            nxt = close({q2 for q in s for q2 in out.get((q, x), ())})
+            delta[(s, x)] = nxt
+            if nxt not in states:
+                states.add(nxt)
+                queue.append(nxt)
+    finals = {s for s in states if s & a.finals}
+    return states, delta, start, finals
+
+
+def _oracle_minimal_size(a):
+    """Moore refinement: recompute every signature until no class splits."""
+    states, delta, _start, finals = _oracle_determinize(a)
+    letters = sorted(a.alphabet)
+    block = {s: (s in finals) for s in states}
+    while True:
+        signature = {
+            s: (block[s],) + tuple(block[delta[(s, x)]] for x in letters) for s in states
+        }
+        classes = {}
+        for s in states:
+            classes.setdefault(signature[s], len(classes))
+        new_block = {s: classes[signature[s]] for s in states}
+        if len(set(new_block.values())) == len(set(block.values())):
+            return len(set(new_block.values()))
+        block = new_block
 
 
 class TestEnumerate:
