@@ -16,8 +16,7 @@ from . import families
 from .closures import (
     bpp_cutoff_bound,
     bpp_short_bound,
-    dc_fsa_bpp,
-    dc_fsa_pn,
+    dc_fsa,
     rackoff_bound,
     rackoff_g_bound,
     uc_fsa,
@@ -187,26 +186,21 @@ def _closure_result(args, inst):
     if args.dir == "down":
         if mode is not None:
             raise ParseError(0, "no --mode with --dir down", mode)
-        if is_bpp(inst.net):
-            return dc_fsa_bpp(inst, max_states=args.budget_nodes), "exact"
-        result = dc_fsa_pn(inst, max_nodes=args.budget_nodes)
-        return result.fsa, result.exactness
+        return dc_fsa(inst, args.budget_nodes)
     if mode is None:
-        result = uc_fsa(inst, max_states=args.budget_nodes)
-    elif mode.startswith("k=") and mode[2:].isascii() and mode[2:].isdigit():
-        result = uc_fsa(
+        return uc_fsa(inst, max_states=args.budget_nodes)
+    if mode.startswith("k=") and mode[2:].isascii() and mode[2:].isdigit():
+        return uc_fsa(
             inst, mode="user_k", k=int(mode[2:]), max_states=args.budget_nodes
         )
-    else:
-        raise ParseError(0, "k=K with K a non-negative integer", mode)
-    return result.fsa, result.exactness
+    raise ParseError(0, "k=K with K a non-negative integer", mode)
 
 
 def _cmd_closure(args) -> int:
     inst = _load_instance(args)
-    fsa, exactness = _closure_result(args, inst)
-    out = fsa_to_dot(fsa) if args.dot else print_fsa(fsa)
-    print(f"# exactness: {exactness}")
+    result = _closure_result(args, inst)
+    out = fsa_to_dot(result.fsa) if args.dot else print_fsa(result.fsa)
+    print(f"# exactness: {result.exactness}")
     sys.stdout.write(out)
     return EXIT_HOLDS
 
@@ -361,7 +355,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as err:
         print(f"covlang: {err}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except CovlangError as err:
+    except (CovlangError, OSError) as err:
         print(f"covlang: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,18 +1,19 @@
 """Closure automata for coverability languages.
 
 Upward closures are exact on every net.  Communication-free nets saturate the
-reachability graph or a short-run automaton with letter self-loops.  Other nets follow Valk and Jantzen
-(1985): grow a finite set W of words of the language until one coverability
-query shows that no word of the language lies outside uc(W).  Each added word
-lies outside uc(W), so Higman's lemma ends the loop.  Saturating the k-bounded
-automaton gives an under-approximation, exact once k reaches the classical
-run-length recurrence over the number of places.  Downward closures use the
-cutoff abstraction for communication-free nets and the coverability graph in
-general.
+markings reachable within ``bpp_short_bound`` steps with letter self-loops.
+Other nets follow Valk and Jantzen (1985): grow a finite set W of words of the
+language until one coverability query shows that no word of the language lies
+outside uc(W).  Each added word lies outside uc(W), so Higman's lemma ends the
+loop.  Saturating the k-bounded automaton gives an under-approximation, exact
+once k reaches the classical run-length recurrence over the number of places.
+Downward closures (``dc_fsa``) use the cutoff abstraction for
+communication-free nets and the coverability graph in general.
 
 One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
-``reachability_fsa`` over markings and ``dc_fsa_bpp`` over cutoff-abstracted
-markings; ``dc_fsa_pn`` reads the accelerated search's graph (``km_graph``).
+``reachability_fsa`` over markings within k steps and ``dc_fsa_bpp`` over
+cutoff-abstracted markings; ``dc_fsa_pn`` reads the accelerated search's graph
+(``km_graph``).
 """
 
 from __future__ import annotations
@@ -190,22 +191,30 @@ def k_bounded_fsa(inst: NetInstance, k: int, max_states: int = 2_000_000) -> Fsa
     )
 
 
-def reachability_fsa(inst: NetInstance, max_states: int = 200_000) -> Fsa | None:
-    """Automaton of the full reachability graph, or None if it exceeds the budget.
+def reachability_fsa(inst: NetInstance, k: int, max_states: int = 200_000) -> Fsa:
+    """Breadth-first automaton of the markings reachable within k steps.
 
-    When it exists, its language is exactly the coverability language.
+    Only markings first reached in fewer than k steps get out-edges, so the
+    language holds the words of the covering runs of length at most k and
+    lies inside the coverability language.
     """
-    try:
-        return _explore(
-            inst.net.alphabet,
-            inst.initial,
-            lambda m: _fired(inst.net, m),
-            lambda m: m.covers(inst.final),
-            max_states,
-            "reachable states",
-        )
-    except BudgetExceeded:
-        return None
+    depth = {inst.initial: 0}
+
+    def successors(m):
+        d = depth[m]
+        if d < k:
+            for label, nxt in _fired(inst.net, m):
+                depth.setdefault(nxt, d + 1)
+                yield label, nxt
+
+    return _explore(
+        inst.net.alphabet,
+        inst.initial,
+        successors,
+        lambda m: m.covers(inst.final),
+        max_states,
+        "reachable states",
+    )
 
 
 @dataclass(frozen=True)
@@ -288,20 +297,22 @@ def uc_fsa(
 
 
 def uc_fsa_bpp(inst: NetInstance, max_states: int = 200_000) -> Fsa:
-    """Exact upward closure for communication-free nets.
+    """Exact upward closure for communication-free nets; the bound raises
+    NotBpp on other nets.
 
-    Saturating any automaton whose language sits between the short-run
-    under-approximation and the full language yields the upward closure; the
-    full reachability graph is used when it is finite, the short-run bound
-    otherwise.
+    Every minimal word has a covering run of at most ``bpp_short_bound`` steps,
+    so saturating the markings reachable within that many steps
+    (``reachability_fsa``) yields the upward closure.
     """
-    if not is_bpp(inst.net):
-        raise NotBpp("exact upward closure shortcut needs a communication-free net")
-    full = reachability_fsa(inst, max_states)
-    if full is not None:
-        return saturate_up(full)
-    k = bpp_short_bound(inst).value
-    return saturate_up(k_bounded_fsa(inst, k, max_states))
+    return saturate_up(reachability_fsa(inst, bpp_short_bound(inst).value, max_states))
+
+
+def dc_fsa(inst: NetInstance, max_states: int) -> ClosureResult:
+    """Downward-closure automaton within ``max_states`` states: the cutoff
+    abstraction on communication-free nets, the coverability graph elsewhere."""
+    if is_bpp(inst.net):
+        return ClosureResult(dc_fsa_bpp(inst, max_states), "exact")
+    return dc_fsa_pn(inst, max_states)
 
 
 def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:

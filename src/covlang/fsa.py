@@ -40,9 +40,6 @@ class Fsa:
             if a != EPSILON and a not in letters:
                 raise ValueError(f"undeclared letter {a!r}")
 
-    def size(self) -> int:
-        return len(self.states) + len(self.alphabet)
-
     def out_edges(self):
         table = self.__dict__.get("_out")
         if table is None:

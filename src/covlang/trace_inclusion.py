@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .closures import dc_fsa_bpp, dc_fsa_pn, uc_fsa
+from .closures import dc_fsa, uc_fsa
 from .errors import BudgetExceeded
 from .fsa import Fsa, _step_fn, trim_coaccessible
 from .nets import (
@@ -28,7 +28,6 @@ from .nets import (
     NetInstance,
     PetriNet,
     append_final_letter,
-    is_bpp,
 )
 from .reach import OMEGA, _accelerated_search, om_fire, om_geq
 
@@ -285,15 +284,12 @@ def is_closed(
         raise ValueError("direction must be 'up' or 'down'")
     try:
         if direction == "up":
-            closure = uc_fsa(inst, max_states=max_nodes).fsa
-        elif is_bpp(inst.net):
-            closure = dc_fsa_bpp(inst, max_states=max_nodes)
+            result = uc_fsa(inst, max_states=max_nodes)
         else:
-            result = dc_fsa_pn(inst, max_nodes=max_nodes)
+            result = dc_fsa(inst, max_nodes)
             if not result.exact:
                 return IsClosedResult("unknown", detail="coverability graph budget exceeded")
-            closure = result.fsa
-        ok, word = regular_included_in_lang(closure, inst, max_nodes)
+        ok, word = regular_included_in_lang(result.fsa, inst, max_nodes)
     except BudgetExceeded as err:
         return IsClosedResult("unknown", detail=str(err))
     if ok:

@@ -195,6 +195,20 @@ class TestExportAndErrors:
         assert code == 3 and out == ""
         assert err.startswith("covlang: parse error: ") and mode in err
 
+    def test_missing_net_file_is_an_error(self, tmp_path):
+        missing = tmp_path / "missing.net"
+        code, out, err = run_cli(["-f", str(missing), "cover"])
+        assert code == 3 and out == ""
+        assert err.startswith("covlang: ") and str(missing) in err
+
+    def test_missing_automaton_file_is_an_error(self, rackoff_doc, tmp_path):
+        net = tmp_path / "rackoff.net"
+        net.write_text(rackoff_doc)
+        missing = tmp_path / "missing.fsa"
+        code, out, err = run_cli(["-f", str(net), "reg-in", "-a", str(missing)])
+        assert code == 3 and out == ""
+        assert err.startswith("covlang: ") and str(missing) in err
+
     def test_solver_read_from_environment_on_each_call(
         self, power2_doc, tmp_path, monkeypatch
     ):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from corpus import random_net
+from covlang import closures
 from covlang.closures import (
     bpp_cutoff_bound,
     bpp_short_bound,
@@ -177,14 +178,20 @@ class TestUcFsa:
         # language is {eps, a}; upward closure is everything
         assert equivalent(result.fsa, chain_fsa(0, at_least=True))
 
-    def test_exact_agrees_with_membership(self):
-        """On synchronizing nets the exact closure accepts a word iff
-        backward coverability puts it in uc(L)."""
+    @pytest.mark.parametrize("bpp, size", [(False, 4), (True, 3)])
+    def test_exact_agrees_with_membership(self, bpp, size):
+        """On synchronizing and on communication-free nets the exact closure
+        accepts a word iff backward coverability puts it in uc(L).  The
+        communication-free nets have the sre-corpus shape: with four places
+        and four transitions the short-run bound reaches up to 256 steps, and
+        some explorations that deep outgrow the default budget."""
         rng = random.Random(2027)
         nets = 0
         while nets < 500:
-            inst = random_net(rng, max_places=4, max_transitions=4, max_weight=2)
-            if is_bpp(inst.net):
+            inst = random_net(
+                rng, max_places=size, max_transitions=size, max_weight=2, bpp=bpp
+            )
+            if is_bpp(inst.net) != bpp:
                 continue
             nets += 1
             closure = uc_fsa(inst).fsa
@@ -222,6 +229,25 @@ class TestUcFsaBpp:
     def test_rejects_synchronizing_nets(self, rackoff_ce):
         with pytest.raises(NotBpp):
             uc_fsa_bpp(rackoff_ce)
+
+    def test_unbounded_net_fires_nothing_when_the_final_marking_is_empty(
+        self, monkeypatch
+    ):
+        """The short-run bound of an empty final marking is 0 steps, so the
+        exploration stops at the initial marking however far the net grows."""
+        net = PetriNet(("a",), ("p",), (Transition.make("t", "a", {"p": 1}, {"p": 2}),))
+        inst = NetInstance(net, Marking.of(net, {"p": 1}), Marking.zero(net))
+        calls = []
+        real_fire = closures.fire
+
+        def fire(*args):
+            calls.append(args)
+            return real_fire(*args)
+
+        monkeypatch.setattr(closures, "fire", fire)
+        closure = uc_fsa_bpp(inst)
+        assert equivalent(closure, chain_fsa(0, at_least=True))
+        assert calls == []
 
 
 class TestDcFsaBpp:
