@@ -52,7 +52,6 @@ from .reach import (
 )
 from .sre import AlphabetOrder, Letter, OptionalLetter, Product, Sre, Star, linearize, min_word, normalize_product, to_fsa
 from .sre_inclusion import (
-    SolverConfig,
     Verdict,
     sre_in_dc_bpp,
     sre_in_dc_pn,

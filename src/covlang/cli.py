@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
+from pathlib import Path
 
 from . import families
 from .closures import (
@@ -23,13 +23,16 @@ from .closures import (
 )
 from .errors import BudgetExceeded, CovlangError, ParseError
 from .nets import is_bpp
+from .presburger import smtlib_export
 from .reach import OMEGA, coverable, km_graph, member, simultaneously_unbounded
+from .sre import min_word
 from .sre_inclusion import (
-    SolverConfig,
+    p_witness_system,
     sre_in_dc_bpp,
     sre_in_dc_pn,
     sre_in_uc_bpp,
     sre_in_uc_pn,
+    staged_cover_system,
 )
 from .textio import (
     fsa_to_dot,
@@ -75,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=100_000,
         help="node budget for state-space explorations",
     )
-    parser.add_argument(
-        "--solver",
-        default=None,
-        help="external SMT-LIB2 solver binary for sre-in --dir down on the "
-        "communication-free route (default: $COVLANG_SOLVER)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("cover", help="is the final marking coverable?")
@@ -107,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "pn", "bpp"],
         default="auto",
         help="force the general (pn) or the communication-free (bpp) route; "
-        "with --dir up both decide minimal-word coverability, and bpp accepts "
+        "both decide the same way (--dir up: minimal-word coverability, "
+        "--dir down: simultaneous unboundedness), and bpp accepts "
         "communication-free nets only",
     )
 
@@ -213,8 +211,7 @@ def _cmd_sre_in(args) -> int:
         route = "bpp" if is_bpp(inst.net) else "pn"
     if args.dir == "down":
         if route == "bpp":
-            path = args.solver if args.solver is not None else os.environ.get("COVLANG_SOLVER")
-            verdict = sre_in_dc_bpp(s, inst, solver=SolverConfig(path=path))
+            verdict = sre_in_dc_bpp(s, inst, max_nodes=args.budget_nodes)
         else:
             verdict = sre_in_dc_pn(s, inst, max_nodes=args.budget_nodes)
     else:
@@ -315,18 +312,17 @@ def _cmd_export(args) -> int:
         raise ParseError(0, "--smt2 with --dir and -e", "missing arguments")
     inst = _load_instance(args)
     s = parse_sre(args.expression)
-    solver = SolverConfig(emit_smt_to=args.out_dir)
-    from .sre_inclusion import p_witness_system, staged_cover_system
-    from .sre import min_word
-
-    for p in s.products:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, p in enumerate(s.products, 1):
         if args.dir == "down":
             _net, formula, _spec = p_witness_system(p, inst)
-            path = solver.maybe_emit(formula, "p-witness")
+            target = out_dir / f"p-witness-{i}.smt2"
         else:
             _net, formula = staged_cover_system(min_word(p), inst)
-            path = solver.maybe_emit(formula, "staged-cover")
-        print(path)
+            target = out_dir / f"staged-cover-{i}.smt2"
+        target.write_text(smtlib_export(formula))
+        print(target)
     return EXIT_HOLDS
 
 

@@ -50,7 +50,7 @@ class UnboundVariable(CovlangError):
 
 
 class SolverUnavailable(CovlangError):
-    """No way to discharge a satisfiability query (no built-in backend, no external solver)."""
+    """The bounded solver's integer program could not answer a query."""
 
 
 class ParseError(CovlangError):

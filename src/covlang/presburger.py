@@ -3,29 +3,29 @@
 Terms live in the integers, variables in the naturals.  A term is one linear
 form, a constant plus a sorted tuple of (variable, coefficient) pairs, so its
 size does not depend on the size of its coefficients; ``Var``, ``Const``,
-``Add``, ``Sub`` and ``Scale`` build it.  The bounded solver is sound within
-its box: tiny problems go through exhaustive enumeration, everything else
-through a big-M integer program (scipy/HiGHS) whose models are re-checked
-symbolically before being returned.  When HiGHS cannot answer (time limit,
-failure, numbers beyond exact float64, a model that fails the re-check) it
-raises SolverUnavailable instead of reporting no model.
+``Add``, ``Sub`` and ``Scale`` build it.  The formulas of the
+communication-free procedures are built here and exported as SMT-LIB 2; no
+decision procedure of the package solves them.  The bounded solver
+``solve_bounded`` is a library call and the tests' oracle.  It is sound
+within its box: tiny problems go through exhaustive enumeration, everything
+else through a big-M integer program (scipy/HiGHS, imported on first use)
+whose models are re-checked symbolically before being returned.  When HiGHS
+cannot answer (time limit, failure, numbers beyond exact float64, a model
+that fails the re-check) it raises SolverUnavailable instead of reporting no
+model.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import NotBpp, SolverUnavailable, UnboundVariable
 from .nets import Marking, PetriNet
 from . import nets as _nets
 
-#: Seconds either backend may spend on one query: HiGHS for the built-in
-#: solver, the subprocess for an external one.
+#: Seconds HiGHS may spend on one query of ``solve_bounded``.
 SOLVER_SECONDS = 60.0
 #: Largest integer float64 holds exactly; beyond it the integer program's
 #: rows no longer state the formula.
@@ -474,7 +474,7 @@ def bpp_reach_formula(net: PetriNet, m0: Marking):
     return exists(bound_names, body)
 
 
-# SMT-LIB 2 export and the optional external solver
+# SMT-LIB 2 export
 
 
 def _int_smt(k: int) -> str:
@@ -576,61 +576,3 @@ def _sexpr_formula(e):
     if op == "and":
         return conj(*[_sexpr_formula(a) for a in args])
     raise ValueError(f"unsupported operator {op!r}")
-
-
-def run_external_solver(f, solver_path: str, timeout: float = SOLVER_SECONDS):
-    """Run an SMT-LIB2 solver binary; returns (verdict, model-or-None).
-
-    verdict is True/False/None (sat/unsat/unknown).  Models are re-checked
-    with evaluate before being trusted.
-    """
-    script = smtlib_export(f)
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".smt2", delete=False, prefix="covlang-"
-    ) as handle:
-        handle.write(script)
-        path = handle.name
-    try:
-        proc = subprocess.run(
-            [solver_path, path],
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except (OSError, subprocess.TimeoutExpired) as err:
-        raise SolverUnavailable(f"cannot run {solver_path!r}: {err}") from err
-    finally:
-        Path(path).unlink(missing_ok=True)
-    out = proc.stdout.strip().splitlines()
-    if not out:
-        raise SolverUnavailable(f"{solver_path!r} produced no output")
-    status = out[0].strip()
-    if status == "unsat":
-        return False, None
-    if status != "sat":
-        return None, None
-    model = _parse_model("\n".join(out[1:]))
-    qf, renaming = flatten_exists(f)
-    full = {name: model.get(name, 0) for name in free_vars(qf)}
-    if not evaluate(qf, full):
-        raise SolverUnavailable(f"{solver_path!r} returned an invalid model")
-    return True, _present_model(full, renaming, free_vars(f))
-
-
-def _parse_model(text: str) -> dict:
-    model = {}
-    for e in _read_sexprs(_tokenize_sexpr(text)):
-        items = e if isinstance(e, list) else [e]
-        stack = [items]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, list) and node[:1] == ["define-fun"] and len(node) >= 5:
-                name = node[1]
-                value = node[4]
-                if isinstance(value, list) and value[:1] == ["-"]:
-                    model[name] = -int(value[1])
-                elif isinstance(value, str) and value.lstrip("-").isdigit():
-                    model[name] = int(value)
-            elif isinstance(node, list):
-                stack.extend(node)
-    return model

@@ -3,9 +3,10 @@ unboundedness, membership oracles, and the bounded brute-force explorer used
 as a test oracle.
 
 One accelerated search over omega-markings serves ``km_graph`` (the whole
-graph), ``simultaneously_unbounded`` (stops at the first node that is omega on
-every target place) and ``trace_inclusion.silent_closure`` (silent transitions
-only, from several roots).
+graph), ``simultaneously_unbounded`` (keeps only the cover set and stops at
+the first node that is omega on every target place) and
+``trace_inclusion.silent_closure`` (silent transitions only, from several
+roots).
 
 Backward coverability (``coverable``, and ``member`` through it) saturates an
 antichain of minimal markings from the final marking.  It drops every
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
+from operator import ge
 
 from .errors import AlphabetMismatch, BudgetExceeded, NotEnabled
 from .nets import (
@@ -55,6 +57,10 @@ def om_geq(a, b) -> bool:
         if y is OMEGA or x < y:
             return False
     return True
+
+
+def _inf_key(m: OmegaMarking) -> tuple:
+    return tuple(inf if x is OMEGA else x for x in m)
 
 
 def om_covers_marking(a: OmegaMarking, m: Marking) -> bool:
@@ -134,6 +140,13 @@ def _accelerated_search(
     pointers.  The search ends at the first node (a root included) satisfying
     ``stop``.  A new node beyond ``max_nodes`` raises BudgetExceeded, or with
     partial=True is dropped and the search flagged incomplete.
+
+    Given ``stop``, which must be upward closed, the search keeps only the
+    cover set (MinCov, Finkel-Haddad-Khmelnitsky 2020): a successor that an
+    active node covers is not added, and a node that a later node strictly
+    covers is deactivated and not expanded.  Every reachable marking stays
+    covered by an expanded node, so the stop predicate is met exactly when
+    the whole graph would meet it; the edges are then incomplete.
     """
     search = _Search([], [], [])
     nodes, parents = search.nodes, search.parents
@@ -146,9 +159,14 @@ def _accelerated_search(
             if stop is not None and stop(root):
                 search.found = True
                 return search
+    # with stop: the nodes that no other node strictly covers, each mapped to
+    # its marking with inf for omega, so that a cover test is one map(ge)
+    active = {i: _inf_key(m) for i, m in enumerate(nodes)} if stop is not None else {}
     frontier = deque(range(len(nodes)))
     while frontier:
         i = frontier.popleft()
+        if stop is not None and i not in active:
+            continue
         chain = [nodes[i]]
         step = parents[i]
         while step is not None:
@@ -162,9 +180,13 @@ def _accelerated_search(
             accel = om_accelerate(succ, chain)
             target = index.get(accel)
             if target is None:
-                if stop is not None and stop(accel):
-                    search.found = True
-                    return search
+                if stop is not None:
+                    key = _inf_key(accel)
+                    if any(all(map(ge, k, key)) for k in active.values()):
+                        continue
+                    if stop(accel):
+                        search.found = True
+                        return search
                 if len(nodes) >= max_nodes:
                     if not partial:
                         raise BudgetExceeded(budget_kind, max_nodes)
@@ -174,6 +196,10 @@ def _accelerated_search(
                 nodes.append(accel)
                 parents.append((i, name, accel != succ))
                 frontier.append(target)
+                if stop is not None:
+                    for j in [j for j, k in active.items() if all(map(ge, key, k))]:
+                        del active[j]
+                    active[target] = key
             search.edges.append((i, name, target))
     return search
 
@@ -200,7 +226,8 @@ def simultaneously_unbounded(
     """True iff one run can make every place of the set arbitrarily large.
 
     Decided on the coverability graph: some node must carry omega on all of
-    them.  The search stops as soon as such a node appears.
+    them.  "Omega on every target" is upward closed, so the search keeps only
+    the cover set and stops as soon as such a node appears.
     """
     targets = [net.place_index[p] for p in places]
     if not targets:

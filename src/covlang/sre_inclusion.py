@@ -3,25 +3,20 @@ downward closure of a coverability language.
 
 Upward closure, on every net: the expression is included iff the minimal word
 of each of its products is in the closure, which backward coverability
-decides (``reach.member``).  Downward closure: the general route reduces each
-product to simultaneous unboundedness of counting places in a synchronized
-product net; the communication-free route compiles the staged-witness
-characterization to existential arithmetic and discharges it with the bounded
-solver (or an external SMT solver).  ``staged_cover_system`` writes the upward
-question as such a formula too, for export.
+decides (``reach.member``).  Downward closure, on every net: each product
+reduces to simultaneous unboundedness of counting places in a synchronized
+product net.  The communication-free routes decide the same way and only
+check that the net is communication-free.  For such nets the staged-witness
+(``p_witness_system``) and staged-cover (``staged_cover_system``) formulas
+state the two questions in existential arithmetic, for export.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .closures import pump_threshold
-from .errors import (
-    AlphabetMismatch,
-    BudgetExceeded,
-    NotBpp,
-    SolverUnavailable,
-)
+from .errors import AlphabetMismatch, BudgetExceeded, NotBpp
 from .nets import (
     EPSILON,
     Marking,
@@ -42,10 +37,8 @@ from .presburger import (
     equals,
     implies,
     lt,
-    run_external_solver,
-    smtlib_export,
-    solve_bounded,
 )
+from .presburger import solve_bounded  # noqa: F401 - perfbench/tracing.py looks it up here
 from .reach import member, simultaneously_unbounded
 from .sre import (
     AlphabetOrder,
@@ -294,91 +287,24 @@ def p_witness_system(
     return nprime, formula, spec
 
 
-def _dc_box_bound(inst: NetInstance, nprime: PetriNet) -> int:
-    c = pump_threshold(inst)
-    return max(
-        4 * (c + 1)
-        + inst.initial.token_count()
-        + inst.final.token_count()
-        + 16,
-        len(nprime.transitions) + 1,
-    )
-
-
-@dataclass
-class SolverConfig:
-    """How to discharge satisfiability queries: external SMT binary if set,
-    otherwise the built-in bounded solver."""
-
-    path: str | None = None
-    emit_smt_to: str | None = None
-    _counter: int = field(default=0, repr=False)
-
-    def maybe_emit(self, formula, tag: str):
-        if not self.emit_smt_to:
-            return None
-        import pathlib
-
-        directory = pathlib.Path(self.emit_smt_to)
-        directory.mkdir(parents=True, exist_ok=True)
-        self._counter += 1
-        target = directory / f"{tag}-{self._counter}.smt2"
-        target.write_text(smtlib_export(formula))
-        return str(target)
-
-    def decide(self, formula, box_bound: int, tag: str):
-        """Returns (verdict bool or None, witness, detail)."""
-        artifact = self.maybe_emit(formula, tag)
-        detail = f"smt2: {artifact}" if artifact else ""
-        if self.path:
-            try:
-                sat, model = run_external_solver(formula, self.path)
-            except SolverUnavailable as err:
-                artifact = artifact or self.maybe_emit_fallback(formula, tag)
-                return None, None, f"{err} (formula at {artifact})"
-            return sat, model, detail or "external solver"
-        try:
-            model = solve_bounded(formula, box_bound)
-        except SolverUnavailable as err:
-            artifact = artifact or self.maybe_emit_fallback(formula, tag)
-            return None, None, f"{err} (formula at {artifact})"
-        if model is None:
-            return False, None, detail or f"no witness within box {box_bound}"
-        return True, model, detail
-
-    def maybe_emit_fallback(self, formula, tag: str):
-        import tempfile
-
-        handle = tempfile.NamedTemporaryFile(
-            "w", suffix=".smt2", prefix=f"covlang-{tag}-", delete=False
-        )
-        handle.write(smtlib_export(formula))
-        handle.close()
-        return handle.name
-
-
 def sre_in_dc_bpp(
     s: Sre,
     inst: NetInstance,
     order: AlphabetOrder | None = None,
-    solver: SolverConfig | None = None,
+    max_nodes: int = 100_000,
 ) -> Verdict:
-    """Downward-closure inclusion for communication-free nets via staged
-    witnesses compiled to existential arithmetic."""
+    """Downward-closure inclusion on the communication-free route.
+
+    Decides each product exactly as ``sre_in_dc_pn`` does, by simultaneous
+    unboundedness; the route only adds the guard that the net is
+    communication-free.  The staged-witness formula of the same question
+    (``p_witness_system``) is exported by ``covlang export --smt2 --dir
+    down``, not solved here.
+    """
     _check_alphabet(s, inst)
     if not is_bpp(inst.net):
         raise NotBpp("use sre_in_dc_pn for nets with synchronization")
-    solver = solver or SolverConfig()
-    for p in s.products:
-        nprime, formula, _spec = p_witness_system(p, inst, order)
-        sat, model, detail = solver.decide(
-            formula, _dc_box_bound(inst, nprime), "p-witness"
-        )
-        if sat is None:
-            return Verdict("unknown", failing_product=p, detail=detail)
-        if not sat:
-            return Verdict("fails", failing_product=p, detail=detail)
-    return HOLDS
+    return sre_in_dc_pn(s, inst, order, max_nodes)
 
 
 def staged_cover_system(w, inst: NetInstance):

@@ -1,5 +1,4 @@
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,13 +10,6 @@ from covlang.families import (
     bpp_power_instance,
     rackoff_counterexample,
 )
-
-
-@pytest.fixture(autouse=True)
-def _private_tempdir(tmp_path, monkeypatch):
-    """Formula files of `unknown` verdicts go to the test's own directory, not
-    the shared system temp directory."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
 
 @pytest.fixture

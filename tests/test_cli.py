@@ -1,5 +1,6 @@
 import argparse
 import io
+import os
 import re
 import subprocess
 import sys
@@ -132,6 +133,7 @@ class TestExportAndErrors:
         assert code == 0
         emitted = list(tmp_path.glob("*.smt2"))
         assert emitted and "(check-sat)" in emitted[0].read_text()
+        assert out == f"{tmp_path / 'p-witness-1.smt2'}\n"
 
     def test_usage_error(self):
         code, _, err = run_cli(["member"])  # missing -w
@@ -154,6 +156,32 @@ class TestExportAndErrors:
             code, out, _ = run_cli([*argv, "--route", route], stdin_text=power2_doc)
             assert code == 2
             assert out == "unknown (backward-coverability markings budget of 0 exceeded)\n"
+
+    def test_sre_in_down_bpp_route_keeps_node_budget(self):
+        doc = print_net(bpp_power_instance(4))
+        argv = ["--budget-nodes", "5", "sre-in", "--dir", "down", "-e", "{a}*"]
+        for route in ("auto", "bpp", "pn"):
+            code, out, _ = run_cli([*argv, "--route", route], stdin_text=doc)
+            assert code == 2
+            assert out == "unknown (karp-miller nodes budget of 5 exceeded)\n"
+
+    def test_sre_in_down_does_not_import_scipy(self, power2_doc):
+        script = (
+            "import sys\n"
+            "from covlang.cli import main\n"
+            "code = main(['sre-in', '--dir', 'down', '-e', '{a}*', '--route', 'bpp'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=power2_doc,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.stdout.splitlines() == ["fails", "1 False"], proc.stderr
 
     def test_sre_in_up_bpp_route_rejects_synchronizing_net(self, rackoff_doc):
         argv = ["sre-in", "--dir", "up", "-e", "a", "--route", "bpp"]
@@ -208,20 +236,6 @@ class TestExportAndErrors:
         code, out, err = run_cli(["-f", str(net), "reg-in", "-a", str(missing)])
         assert code == 3 and out == ""
         assert err.startswith("covlang: ") and str(missing) in err
-
-    def test_solver_read_from_environment_on_each_call(
-        self, power2_doc, tmp_path, monkeypatch
-    ):
-        unsat = tmp_path / "unsat.sh"
-        unsat.write_text("#!/bin/sh\necho unsat\n")
-        unsat.chmod(0o755)
-        argv = ["sre-in", "--dir", "down", "-e", "{a}*", "--route", "bpp"]
-        monkeypatch.setenv("COVLANG_SOLVER", str(tmp_path / "missing"))
-        code, out, _ = run_cli(argv, stdin_text=power2_doc)
-        assert code == 2 and out.startswith("unknown")
-        monkeypatch.setenv("COVLANG_SOLVER", str(unsat))
-        code, out, _ = run_cli(argv, stdin_text=power2_doc)
-        assert code == 1 and out.startswith("fails")
 
     def test_parse_error(self):
         code, _, err = run_cli(["cover"], stdin_text="trans t pre q:1\n")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import random_fsa, random_net
+from corpus import random_fsa, random_net, random_product
 from covlang.errors import AlphabetMismatch, BudgetExceeded
 from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 from covlang.nets import (
@@ -15,6 +15,8 @@ from covlang.nets import (
     subword,
     sync_with_fsa,
 )
+from covlang.sre import default_order
+from covlang.sre_inclusion import dc_unboundedness_system
 from covlang.reach import (
     OMEGA,
     UpwardClosedSet,
@@ -238,6 +240,29 @@ class TestSuppn:
                 unbounded += expected
         assert pairs >= 1_000
         assert 0 < unbounded < pairs
+
+    def test_cover_set_pruning_agrees_with_the_km_graph_on_sre_products(self):
+        # simultaneously_unbounded prunes covered nodes; the whole graph
+        # must carry omega on every target exactly when it answers True
+        rng = random.Random(83)
+        checked = {True: 0, False: 0}
+        unbounded = 0
+        while sum(checked.values()) < 2_000:
+            bpp = rng.random() < 0.5
+            inst = random_net(rng, max_places=3, max_transitions=3, bpp=bpp)
+            p = random_product(rng)
+            order = default_order(inst.net.alphabet)
+            net, m0, targets = dc_unboundedness_system(p, inst, order)
+            graph = km_graph(net, m0, max_nodes=3_000, partial=True)
+            if not graph.complete:
+                continue
+            idx = [net.place_index[t] for t in targets]
+            expected = any(all(node[i] is OMEGA for i in idx) for node in graph.nodes)
+            assert simultaneously_unbounded(net, m0, targets) == expected, (inst, p)
+            checked[bpp] += 1
+            unbounded += expected
+        assert min(checked.values()) >= 800
+        assert 0 < unbounded < 2_000
 
 
 class TestMember:

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from corpus import random_net, random_product, random_sre
-from covlang.errors import AlphabetMismatch, NotBpp
+from covlang.errors import AlphabetMismatch, NotBpp, SolverUnavailable
 from covlang.families import bpp_power_instance
 from covlang.nets import Marking, NetInstance
+from covlang.presburger import evaluate, parse_smtlib_script, smtlib_export
 from covlang.reach import member
 from covlang.sre import (
     Letter,
@@ -17,9 +18,10 @@ from covlang.sre import (
     star,
 )
 from covlang.sre_inclusion import (
-    SolverConfig,
     p_witness_system,
+    product_in_dc_pn,
     pump_threshold,
+    solve_bounded,
     sre_in_dc_bpp,
     sre_in_dc_pn,
     sre_in_uc_bpp,
@@ -153,6 +155,19 @@ class TestDcBpp:
                 tuple(letters), inst, "down"
             )
 
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_empty_star_holds_on_power_family(self, n):
+        # L = {a^(2^n)} is not empty, so the empty star is included
+        inst = bpp_power_instance(n)
+        assert sre_in_dc_bpp(EMPTY_STAR, inst).holds
+        assert sre_in_dc_pn(EMPTY_STAR, inst).holds
+
+    def test_star_fails_on_power_family(self):
+        for n in range(1, 10):
+            inst = bpp_power_instance(n)
+            assert sre_in_dc_bpp(ASTAR, inst).answer == "fails"
+            assert sre_in_dc_pn(ASTAR, inst).answer == "fails"
+
 
 class TestUcBpp:
     def test_power_examples(self, power2):
@@ -246,18 +261,26 @@ class TestPWitnessSpec:
 
 
 class TestBuiltInSolverLimits:
+    """``solve_bounded`` on the staged-witness formula, which no decision
+    procedure solves.  Raising SolverUnavailable is the solver's unknown."""
+
+    @staticmethod
+    def _star_formula(inst):
+        _net, formula, _spec = p_witness_system(ASTAR.products[0], inst)
+        return formula, 4 * (pump_threshold(inst) + 1)
+
     def test_large_arc_weight_is_decided(self):
         # the weight 2^10 is one coefficient, not a chain of 1024 terms
-        assert sre_in_dc_bpp(ASTAR, bpp_power_instance(10)).answer == "fails"
+        formula, box = self._star_formula(bpp_power_instance(10))
+        assert solve_bounded(formula, box) is None
 
-    def test_beyond_exact_float_is_unknown(self, tmp_path):
+    def test_beyond_exact_float_is_unknown(self):
         # at n=12 the big-M constant is about 3.0e16 > 2^53
-        solver = SolverConfig(emit_smt_to=str(tmp_path))
-        verdict = sre_in_dc_bpp(ASTAR, bpp_power_instance(12), solver=solver)
-        assert verdict.answer == "unknown"
-        assert "float64" in verdict.detail and ".smt2" in verdict.detail
+        formula, box = self._star_formula(bpp_power_instance(12))
+        with pytest.raises(SolverUnavailable, match="float64"):
+            solve_bounded(formula, box)
 
-    def test_time_limit_is_unknown(self, power2, tmp_path, monkeypatch):
+    def test_time_limit_is_unknown(self, power2, monkeypatch):
         import scipy.optimize
 
         from covlang.presburger import SOLVER_SECONDS
@@ -271,56 +294,26 @@ class TestBuiltInSolverLimits:
             )
 
         monkeypatch.setattr(scipy.optimize, "milp", timed_out)
-        solver = SolverConfig(emit_smt_to=str(tmp_path))
-        verdict = sre_in_dc_bpp(ASTAR, power2, solver=solver)
-        assert verdict.answer == "unknown"
+        formula, box = self._star_formula(power2)
+        with pytest.raises(SolverUnavailable, match="Time limit"):
+            solve_bounded(formula, box)
         assert limits == [SOLVER_SECONDS]
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="HiGHS reports the route's box of 226,492,565 infeasible, "
-        "although solve_bounded finds a model within 10^8",
-    )
-    def test_empty_star_on_power7_holds(self):
-        assert sre_in_dc_bpp(EMPTY_STAR, bpp_power_instance(7)).holds
 
 
 class TestSmtArtifacts:
-    def test_emission(self, power2, tmp_path):
-        solver = SolverConfig(emit_smt_to=str(tmp_path))
-        verdict = sre_in_dc_bpp(ASTAR, power2, solver=solver)
-        assert verdict.answer == "fails"
-        files = list(tmp_path.glob("*.smt2"))
-        assert files
-        text = files[0].read_text()
+    def test_emission(self, power2):
+        # a model of the staged witness found in a box proves the product
+        # included, and it satisfies the exported script read back
+        p = EMPTY_STAR.products[0]
+        _net, formula, _spec = p_witness_system(p, power2)
+        text = smtlib_export(formula)
         assert "(check-sat)" in text and "(set-logic QF_LIA)" in text
+        model = solve_bounded(formula, 4 * (pump_threshold(power2) + 1))
+        assert model is not None and product_in_dc_pn(p, power2)
+        names, parsed = parse_smtlib_script(text)
+        assert evaluate(parsed, {name: model.get(name, 0) for name in names})
 
     def test_staged_system_shapes(self, power2):
         nprime, _formula = staged_cover_system(("a", "a"), power2)
         stages = {p.split(".")[0] for p in nprime.places if p.startswith("e")}
         assert stages == {"e1", "e2"}
-
-
-class TestExternalSolver:
-    def _script(self, tmp_path, body):
-        path = tmp_path / "solver.sh"
-        path.write_text("#!/bin/sh\n" + body + "\n")
-        path.chmod(0o755)
-        return str(path)
-
-    def test_unsat_answer_is_fails(self, power2, tmp_path):
-        solver = SolverConfig(path=self._script(tmp_path, "echo unsat"))
-        assert sre_in_dc_bpp(ASTAR, power2, solver=solver).answer == "fails"
-
-    def test_missing_binary_degrades_to_unknown_with_artifact(self, power2):
-        solver = SolverConfig(path="/nonexistent/solver")
-        verdict = sre_in_dc_bpp(ASTAR, power2, solver=solver)
-        assert verdict.answer == "unknown"
-        assert ".smt2" in verdict.detail
-
-    def test_bogus_model_is_rejected(self, power2, tmp_path):
-        # claims sat but offers no model: the zero assignment cannot satisfy
-        # the start-marking constraints, so the answer is not trusted
-        solver = SolverConfig(path=self._script(tmp_path, "echo sat"))
-        verdict = sre_in_dc_bpp(ASTAR, power2, solver=solver)
-        assert verdict.answer == "unknown"
