@@ -136,25 +136,26 @@ def pump_threshold(inst: NetInstance) -> int:
 def _explore(alphabet, start, successors, accepting, max_states, budget_kind) -> Fsa:
     """Breadth-first automaton of the states reachable from start.
 
-    ``successors(q)`` yields (label, target) pairs; every one becomes an edge.
-    A new state beyond ``max_states`` raises BudgetExceeded(budget_kind).
+    ``successors(q)`` yields (label, target) pairs; each distinct pair becomes
+    an edge.  The table of each state's distinct pairs is handed to the
+    automaton as its ``out_edges``.  A new state beyond ``max_states`` raises
+    BudgetExceeded(budget_kind).
     """
-    states = {start}
-    transitions = set()
+    table = {start: None}  # a state's edge list replaces None when it is expanded
     finals = set()
     queue = deque([start])
     while queue:
         q = queue.popleft()
         if accepting(q):
             finals.add(q)
-        for label, target in successors(q):
-            transitions.add((q, label, target))
-            if target not in states:
-                if len(states) >= max_states:
+        edges = table[q] = list(dict.fromkeys(successors(q)))
+        for _label, target in edges:
+            if target not in table:
+                if len(table) >= max_states:
                     raise BudgetExceeded(budget_kind, max_states)
-                states.add(target)
+                table[target] = None
                 queue.append(target)
-    return Fsa(alphabet, frozenset(states), frozenset(transitions), start, frozenset(finals))
+    return Fsa.from_out_edges(alphabet, table, start, finals)
 
 
 def _fired(net, m):
@@ -351,12 +352,10 @@ def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:
     """
     graph = km_graph(inst.net, inst.initial, max_nodes=max_nodes, partial=True)
     exactness = "exact" if graph.complete else "partial"
-    states = frozenset(range(len(graph.nodes)))
-    transitions = set()
+    table = {q: [] for q in range(len(graph.nodes))}
     for src, name, dst in graph.edges:
-        label = inst.net.transition(name).label
-        transitions.add((src, label, dst))
-        transitions.add((src, EPSILON, dst))
-    finals = frozenset(graph.covering_nodes(inst.final))
-    fsa = Fsa(inst.net.alphabet, states, frozenset(transitions), graph.root, finals)
+        table[src] += [(inst.net.transition(name).label, dst), (EPSILON, dst)]
+    table = {q: list(dict.fromkeys(edges)) for q, edges in table.items()}
+    finals = graph.covering_nodes(inst.final)
+    fsa = Fsa.from_out_edges(inst.net.alphabet, table, graph.root, finals)
     return ClosureResult(fsa, exactness)

@@ -40,6 +40,21 @@ class Fsa:
             if a != EPSILON and a not in letters:
                 raise ValueError(f"undeclared letter {a!r}")
 
+    @classmethod
+    def from_out_edges(cls, alphabet, table: dict, initial, finals) -> Fsa:
+        """Automaton whose states are the keys of ``table``, a dict from each
+        state to its list of distinct (label, target) pairs; the table
+        becomes the ``out_edges`` cache, so it is not rebuilt."""
+        a = cls(
+            tuple(alphabet),
+            frozenset(table),
+            frozenset((q, x, q2) for q, edges in table.items() for x, q2 in edges),
+            initial,
+            frozenset(finals),
+        )
+        object.__setattr__(a, "_out", table)
+        return a
+
     def out_edges(self):
         table = self.__dict__.get("_out")
         if table is None:
@@ -83,39 +98,32 @@ def saturate_down(a: Fsa) -> Fsa:
     return Fsa(a.alphabet, a.states, a.transitions | skips, a.initial, a.finals)
 
 
-def _closure_fn(a: Fsa):
+def _step_fn(a: Fsa):
+    """Memoized (step, close) over macrostates: close adds every state that
+    silent edges reach, and step reads one letter, then closes."""
     out = a.out_edges()
-    cache = {}
+    closed = {}
+    stepped = {}
 
     def close(states: frozenset) -> frozenset:
-        if states in cache:
-            return cache[states]
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for label, q2 in out.get(q, ()):
-                if label == EPSILON and q2 not in seen:
-                    seen.add(q2)
-                    stack.append(q2)
-        result = frozenset(seen)
-        cache[states] = result
+        result = closed.get(states)
+        if result is None:
+            seen = set(states)
+            stack = list(states)
+            while stack:
+                for label, q2 in out.get(stack.pop(), ()):
+                    if label == EPSILON and q2 not in seen:
+                        seen.add(q2)
+                        stack.append(q2)
+            result = closed[states] = frozenset(seen)
         return result
-
-    return close
-
-
-def _step_fn(a: Fsa):
-    out = a.out_edges()
-    close = _closure_fn(a)
-    cache = {}
 
     def step(states: frozenset, letter: str) -> frozenset:
         key = (states, letter)
-        result = cache.get(key)
+        result = stepped.get(key)
         if result is None:
             nxt = {q2 for q in states for lab, q2 in out.get(q, ()) if lab == letter}
-            result = cache[key] = close(frozenset(nxt))
+            result = stepped[key] = close(frozenset(nxt))
         return result
 
     return step, close
@@ -131,13 +139,12 @@ def accepts(a: Fsa, w) -> bool:
     return bool(current & a.finals)
 
 
-def is_empty(a: Fsa):
-    """Return (True, None) or (False, shortest length-lex accepted word)."""
-    step, close = _step_fn(a)
-    start = close(frozenset([a.initial]))
-    if start & a.finals:
-        return False, ()
-    letters = sorted(a.alphabet)
+def _shortest_word(start, step, letters, accepting):
+    """Length-lexicographically least word that ``step`` leads from the
+    macrostate start to one where ``accepting`` holds, breadth-first over
+    non-empty macrostates; None when there is none."""
+    if accepting(start):
+        return ()
     seen = {start}
     queue = deque([(start, ())])
     while queue:
@@ -146,11 +153,19 @@ def is_empty(a: Fsa):
             nxt = step(states, x)
             if not nxt or nxt in seen:
                 continue
-            if nxt & a.finals:
-                return False, w + (x,)
+            if accepting(nxt):
+                return w + (x,)
             seen.add(nxt)
             queue.append((nxt, w + (x,)))
-    return True, None
+    return None
+
+
+def is_empty(a: Fsa):
+    """Return (True, None) or (False, shortest length-lex accepted word)."""
+    step, close = _step_fn(a)
+    start = close(frozenset([a.initial]))
+    w = _shortest_word(start, step, sorted(a.alphabet), lambda s: bool(s & a.finals))
+    return (True, None) if w is None else (False, w)
 
 
 def included(a: Fsa, b: Fsa):
@@ -159,31 +174,18 @@ def included(a: Fsa, b: Fsa):
         raise AlphabetMismatch("inclusion query over different alphabets")
     step_a, close_a = _step_fn(a)
     step_b, close_b = _step_fn(b)
-    letters = sorted(a.alphabet)
     start = (close_a(frozenset([a.initial])), close_b(frozenset([b.initial])))
+
+    def step(pair, x):
+        na = step_a(pair[0], x)
+        return na and (na, step_b(pair[1], x))  # empty: a rejects every extension
 
     def bad(pair):
         sa, sb = pair
         return bool(sa & a.finals) and not (sb & b.finals)
 
-    if bad(start):
-        return False, ()
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (sa, sb), w = queue.popleft()
-        for x in letters:
-            na = step_a(sa, x)
-            if not na:
-                continue  # a rejects every extension
-            pair = (na, step_b(sb, x))
-            if pair in seen:
-                continue
-            if bad(pair):
-                return False, w + (x,)
-            seen.add(pair)
-            queue.append((pair, w + (x,)))
-    return True, None
+    w = _shortest_word(start, step, sorted(a.alphabet), bad)
+    return (True, None) if w is None else (False, w)
 
 
 def equivalent(a: Fsa, b: Fsa) -> bool:
@@ -383,24 +385,30 @@ def enumerate_words(a: Fsa, k: int) -> set:
     return found
 
 
+def _coaccessible(a: Fsa) -> frozenset:
+    """States from which a final state is reachable: one backward search
+    over ``out_edges``."""
+    rev = {}
+    for q, edges in a.out_edges().items():
+        for _x, q2 in edges:
+            rev.setdefault(q2, []).append(q)
+    alive = set(a.finals)
+    stack = list(a.finals)
+    while stack:
+        for q0 in rev.get(stack.pop(), ()):
+            if q0 not in alive:
+                alive.add(q0)
+                stack.append(q0)
+    return frozenset(alive)
+
+
 def trim_coaccessible(a: Fsa) -> Fsa | None:
     """Restrict to states from which a final state is reachable.
 
     Returns None when the language is empty (the initial state would be cut).
     """
-    rev = {}
-    for q, _x, q2 in a.transitions:
-        rev.setdefault(q2, set()).add(q)
-    alive = set(a.finals)
-    stack = list(a.finals)
-    while stack:
-        q = stack.pop()
-        for q0 in rev.get(q, ()):
-            if q0 not in alive:
-                alive.add(q0)
-                stack.append(q0)
+    alive = _coaccessible(a)
     if a.initial not in alive:
         return None
     trans = {(q, x, q2) for q, x, q2 in a.transitions if q in alive and q2 in alive}
-    return Fsa(a.alphabet, frozenset(alive), frozenset(trans), a.initial, a.finals)
-
+    return Fsa(a.alphabet, alive, frozenset(trans), a.initial, a.finals)

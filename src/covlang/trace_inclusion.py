@@ -9,9 +9,11 @@ The silent closure is the accelerated search of ``reach``, restricted to
 silent transitions and started from every distinct marking one letter reaches.
 Its antichain is computed in one pass: markings in descending order of omega
 count and token sum, each compared only with kept markings whose support
-contains its own.  A successor whose automaton states have no lettered
-out-edge, such as the end-letter sink of ``regular_included_in_lang``, is a
-dead end: it only needs its letter to be enabled, and no closure is built.
+contains its own.  ``traces_included`` and ``regular_included_in_lang`` share
+one search; the latter's end-lettered automaton is a step function over the
+given automaton, not a copy.  A successor from which no letter steps, such as
+the end-letter sink, is a dead end: it only needs its letter to be enabled,
+and no closure is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .closures import dc_fsa, uc_fsa
 from .errors import BudgetExceeded
-from .fsa import Fsa, _step_fn, trim_coaccessible
+from .fsa import Fsa, _coaccessible, _shortest_word, _step_fn
 from .nets import (
     EPSILON,
     Marking,
@@ -128,33 +130,38 @@ def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000)
     """Every trace of the automaton is a trace of the net; exact.
 
     Returns (True, None) or (False, counterexample-trace); the counterexample
-    is length-lexicographically minimal.
-
-    A successor whose automaton states have no lettered out-edge is a dead
-    end: it has no children, and no ancestor can subsume it, since an
-    ancestor has children.  It only needs some transition of its letter to be
-    enabled, so its silent closure is never built; it still counts against
-    ``max_nodes``.
+    is length-lexicographically minimal.  ``regular_included_in_lang`` runs the
+    same search (``_search``) on a step function over its automaton.
     """
-    step_a, close_a = _step_fn(a)
-    by_label = _net_steps(net)
-    letters = sorted(a.alphabet)
-    lettered = frozenset(q for q, x, _ in a.transitions if x != EPSILON)
+    step, close = _step_fn(a)
+    start = close(frozenset([a.initial]))
+    return _search(start, step, sorted(a.alphabet), net, m0, max_nodes)
 
-    start_qa = close_a(frozenset([a.initial]))
+
+def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int):
+    """Breadth-first trace tree of an automaton, given by its start
+    macrostate, its ``step`` function and its sorted ``letters``, against the
+    net from m0; returns what ``traces_included`` returns.
+
+    A successor from which no letter steps is a dead end: it has no children,
+    and no ancestor can subsume it, since an ancestor has children.  It only
+    needs some transition of its letter to be enabled, so its silent closure
+    is never built; it still counts against ``max_nodes``.
+    """
+    by_label = _net_steps(net)
     start_s, _ = silent_closure(net, [tuple(m0.counts)], max_nodes)
     # (qa, s, word, ancestors); ancestors only carry (qa, s) pairs
-    root = (start_qa, start_s)
-    queue = deque([(start_qa, start_s, (), (root,))])
+    root = (start, start_s)
+    queue = deque([(start, start_s, (), (root,))])
     visited = 1
     while queue:
         qa, s, w, ancestors = queue.popleft()
         for x in letters:
-            qa2 = step_a(qa, x)
+            qa2 = step(qa, x)
             if not qa2:
                 continue
             names = by_label.get(x, ())
-            dead_end = lettered.isdisjoint(qa2)
+            dead_end = not any(step(qa2, y) for y in letters)
             if dead_end:
                 if not _enabled(net, s, names):
                     return False, w + (x,)
@@ -195,24 +202,8 @@ def _fresh_letter(used) -> str:
     return candidate
 
 
-def _append_accept_letter(a: Fsa, letter: str, alphabet) -> Fsa | None:
-    """Automaton for L(a).letter, trimmed so its unique final state is
-    reachable from every state; None when L(a) is empty."""
-    trimmed = trim_coaccessible(a)
-    if trimmed is None:
-        return None
-    sink = ("accept!", letter)
-    states = set(trimmed.states) | {sink}
-    transitions = set(trimmed.transitions)
-    for q in trimmed.finals:
-        transitions.add((q, letter, sink))
-    return Fsa(
-        tuple(alphabet),
-        frozenset(states),
-        frozenset(transitions),
-        trimmed.initial,
-        frozenset([sink]),
-    )
+#: The accepting sink of the end-lettered automaton, a macrostate of its own.
+_SINK = frozenset([object()])
 
 
 def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000):
@@ -220,44 +211,45 @@ def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000)
 
     Both sides get a fresh end letter: the net fires it by consuming the final
     marking, the automaton appends it after accepting, and the question becomes
-    an inclusion of prefix-closed trace languages.
+    an inclusion of prefix-closed trace languages.  The end-lettered automaton,
+    trimmed so that acceptance stays reachable, is a step function over ``a``
+    rather than a copy of it: a letter step keeps the co-accessible states of
+    ``a``'s step, the fresh letter leads from a macrostate that holds a final
+    state to ``_SINK``, and it takes its sorted place among the letters.
     """
-    fresh = _fresh_letter(set(inst.net.alphabet) | set(a.alphabet))
-    alphabet = tuple(dict.fromkeys(tuple(a.alphabet) + inst.net.alphabet)) + (fresh,)
-    ended = _append_accept_letter(a, fresh, alphabet)
-    if ended is None:
+    alive = _coaccessible(a)
+    if a.initial not in alive:
         return True, None
-    lifted_inst = append_final_letter(inst, fresh)
-    ok, trace = traces_included(
-        ended, lifted_inst.net, lifted_inst.initial, max_nodes
-    )
+    fresh = _fresh_letter(set(inst.net.alphabet) | set(a.alphabet))
+    step_a, close = _step_fn(a)
+
+    def step(qa: frozenset, x: str) -> frozenset:
+        if x == fresh:
+            return _SINK if qa & a.finals else frozenset()
+        return step_a(qa, x) & alive
+
+    start = close(frozenset([a.initial])) & alive
+    letters = sorted(set(a.alphabet) | {fresh})
+    lifted = append_final_letter(inst, fresh)
+    ok, trace = _search(start, step, letters, lifted.net, lifted.initial, max_nodes)
     if ok:
         return True, None
-    word = _extend_to_acceptance(ended, trace)
+    word = _extend_to_acceptance(start, step, letters, trace)
     if word[-1] != fresh:
         raise RuntimeError(f"counterexample {word!r} does not end with {fresh!r}")
     return False, word[:-1]
 
 
-def _extend_to_acceptance(a: Fsa, trace):
-    """Shortest accepted word extending the given trace (exists by trimming)."""
-    step, close = _step_fn(a)
-    current = close(frozenset([a.initial]))
+def _extend_to_acceptance(start, step, letters, trace):
+    """Shortest word extending the given trace that steps to ``_SINK``
+    (exists by trimming)."""
+    current = start
     for x in trace:
         current = step(current, x)
-    letters = sorted(a.alphabet)
-    seen = {current}
-    queue = deque([(current, tuple(trace))])
-    while queue:
-        states, w = queue.popleft()
-        if states & a.finals:
-            return w
-        for x in letters:
-            nxt = step(states, x)
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, w + (x,)))
-    raise AssertionError("a trimmed automaton must reach acceptance")
+    tail = _shortest_word(current, step, letters, lambda s: s == _SINK)
+    if tail is None:
+        raise AssertionError("a trimmed automaton must reach acceptance")
+    return tuple(trace) + tail
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from covlang import closures
 from covlang.closures import (
     bpp_cutoff_bound,
     bpp_short_bound,
+    dc_fsa,
     dc_fsa_bpp,
     dc_fsa_pn,
     k_bounded_fsa,
@@ -15,6 +16,7 @@ from covlang.closures import (
     rackoff_bound,
     rackoff_f_sequence,
     rackoff_g_bound,
+    reachability_fsa,
     uc_fsa,
     uc_fsa_bpp,
 )
@@ -317,3 +319,36 @@ class TestDcFsaPn:
         for _ in range(15):
             inst = random_net(rng, max_places=3, max_transitions=3, bpp=True)
             assert equivalent(dc_fsa_pn(inst).fsa, dc_fsa_bpp(inst))
+
+
+class TestOutEdgesHandOver:
+    """The explorers hand their adjacency table to the automaton; a stale or
+    duplicated table would silently change every step over it."""
+
+    def test_table_equals_the_one_rebuilt_from_transitions(self):
+        rng = random.Random(61)
+        explorers = (
+            lambda inst: k_bounded_fsa(inst, 3, 2_000),
+            lambda inst: reachability_fsa(inst, 3, 2_000),
+            lambda inst: dc_fsa(inst, 2_000).fsa,
+            lambda inst: uc_fsa(inst, max_states=2_000).fsa,
+        )
+        checked = 0
+        for i in range(80):
+            inst = random_net(rng, bpp=i % 2 == 0)
+            for explore in explorers:
+                try:
+                    a = explore(inst)
+                except BudgetExceeded:
+                    continue
+                rebuilt = {}
+                for q, x, q2 in a.transitions:
+                    rebuilt.setdefault(q, set()).add((x, q2))
+                table = a.out_edges()
+                assert set(table) <= a.states
+                for q in a.states:
+                    edges = table.get(q, [])
+                    assert len(edges) == len(set(edges)), (i, q, edges)
+                    assert set(edges) == rebuilt.get(q, set()), (i, q)
+                checked += 1
+        assert checked >= 280

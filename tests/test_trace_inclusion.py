@@ -1,17 +1,20 @@
 import random
+from collections import deque
 
 import pytest
 
 from corpus import random_fsa, random_net
+from covlang.closures import dc_fsa
 from covlang.errors import BudgetExceeded
-from covlang.families import ackermann_instance, ackermann_value
-from covlang.fsa import make_fsa, word_fsa
+from covlang.families import ackermann_instance, ackermann_value, bpp_power_instance
+from covlang.fsa import Fsa, _step_fn, make_fsa, trim_coaccessible, word_fsa
 from covlang.nets import (
     EPSILON,
     Marking,
     NetInstance,
     PetriNet,
     Transition,
+    append_final_letter,
     fire,
 )
 from covlang.reach import OMEGA, member, om_accelerate, om_fire, om_geq
@@ -27,8 +30,6 @@ from covlang.trace_inclusion import (
 
 def fsa_traces(a, max_len):
     """All words readable from the initial state (regardless of acceptance)."""
-    from covlang.fsa import _step_fn
-
     step, close = _step_fn(a)
     out = set()
     frontier = {close(frozenset([a.initial])): ()}
@@ -285,6 +286,96 @@ class TestRegularInclusion:
             assert ok == member(w, inst, "exact")
 
 
+def _materialised_regular_inclusion(a, inst, max_nodes):
+    """Reference for ``regular_included_in_lang``: the end-letter reduction
+    on copies.  Trim ``a``, build a new automaton that appends the fresh
+    letter after acceptance, search it with ``traces_included`` against the
+    lifted net, then extend the trace breadth-first to acceptance."""
+    fresh = "#"
+    while fresh in set(a.alphabet) | set(inst.net.alphabet):
+        fresh += "#"
+    trimmed = trim_coaccessible(a)
+    if trimmed is None:
+        return True, None
+    sink = ("accept!", fresh)
+    alphabet = tuple(dict.fromkeys(a.alphabet + inst.net.alphabet)) + (fresh,)
+    ended = make_fsa(
+        alphabet,
+        trimmed.states | {sink},
+        trimmed.transitions | {(q, fresh, sink) for q in trimmed.finals},
+        trimmed.initial,
+        {sink},
+    )
+    lifted = append_final_letter(inst, fresh)
+    ok, trace = traces_included(ended, lifted.net, lifted.initial, max_nodes)
+    if ok:
+        return True, None
+    step, close = _step_fn(ended)
+    current = close(frozenset([ended.initial]))
+    for x in trace:
+        current = step(current, x)
+    seen = {current}
+    queue = deque([(current, trace)])
+    while queue:
+        states, w = queue.popleft()
+        if sink in states:
+            assert w[-1] == fresh
+            return False, w[:-1]
+        for x in sorted(alphabet):
+            nxt = step(states, x)
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, w + (x,)))
+    raise AssertionError("a trimmed automaton must reach acceptance")
+
+
+def _outcome(decide, a, inst, max_nodes):
+    try:
+        return decide(a, inst, max_nodes)
+    except BudgetExceeded as err:
+        return "budget", str(err)
+
+
+class TestEndLetterOnTheAutomaton:
+    def test_matches_the_materialised_reduction(self):
+        """Verdicts, counterexamples and budget overruns, on random automata
+        and on the downward-closure automata of the same nets."""
+        rng = random.Random(2026)
+        compared = overruns = closures = 0
+        for i in range(1_000):
+            inst = random_net(rng, bpp=i % 2 == 0)
+            automata = [random_fsa(rng, alphabet=inst.net.alphabet, max_states=4)]
+            try:
+                closure = dc_fsa(inst, 200)
+            except BudgetExceeded:
+                closure = None
+            if closure is not None and closure.exact:
+                automata.append(closure.fsa)
+                closures += 1
+            for a in automata:
+                for max_nodes in (4, 5_000):
+                    got = _outcome(regular_included_in_lang, a, inst, max_nodes)
+                    want = _outcome(_materialised_regular_inclusion, a, inst, max_nodes)
+                    assert got == want, (i, max_nodes)
+                    compared += 1
+                    overruns += got[0] == "budget"
+        assert closures >= 300 and compared >= 2_600 and overruns >= 40
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_power_down_builds_only_the_closure_automaton(self, n, monkeypatch):
+        built = []
+        post_init = Fsa.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Fsa, "__post_init__", counted)
+        result = is_closed(bpp_power_instance(n), "down")
+        assert result.answer == "no" and result.counterexample == ()
+        assert len(built) == 1
+
+
 def _chain_fsa(length, all_final):
     """a^length, or every a^k with k <= length when all_final."""
     states = range(length + 1)
@@ -321,8 +412,6 @@ class TestAckermann:
 
 class TestIsClosed:
     def test_power_not_downward_closed(self):
-        from covlang.families import bpp_power_instance
-
         result = is_closed(bpp_power_instance(1), "down")
         assert result.answer == "no"
         w = result.counterexample
