@@ -13,7 +13,8 @@ communication-free nets and the coverability graph in general.
 One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
 ``reachability_fsa`` over markings within k steps and ``dc_fsa_bpp`` over
 cutoff-abstracted markings; ``dc_fsa_pn`` reads the accelerated search's graph
-(``km_graph``).
+(``km_graph``).  The explorer numbers the states 0, 1, ... in the order it
+discovers them, and the automaton keeps only the numbers, not the markings.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 from .errors import BudgetExceeded, NotBpp
 from .fsa import Fsa, saturate_up
 from .nets import EPSILON, NetInstance, fire, is_bpp, subword, sync_with_fsa
-from .reach import OMEGA, coverable, km_graph, om_covers_marking, om_fire
+from .reach import OMEGA, coverable, km_graph, om_fire
 
 #: Materializing integers beyond this many bits is pointless for desk work.
 MAX_VALUE_BITS = 10**7
@@ -137,25 +138,31 @@ def _explore(alphabet, start, successors, accepting, max_states, budget_kind) ->
     """Breadth-first automaton of the states reachable from start.
 
     ``successors(q)`` yields (label, target) pairs; each distinct pair becomes
-    an edge.  The table of each state's distinct pairs is handed to the
-    automaton as its ``out_edges``.  A new state beyond ``max_states`` raises
+    an edge.  The automaton keeps only the states' numbers in discovery
+    order, start being 0, and gets the table of each state's distinct pairs
+    as its ``out_edges``.  A new state beyond ``max_states`` raises
     BudgetExceeded(budget_kind).
     """
-    table = {start: None}  # a state's edge list replaces None when it is expanded
-    finals = set()
-    queue = deque([start])
+    number = {start: 0}
+    table = []  # state i's distinct (label, number) pairs: a tuple, untracked by gc
+    finals = []
+    queue = deque([start])  # discovered, not yet expanded: states len(table), ...
     while queue:
         q = queue.popleft()
         if accepting(q):
-            finals.add(q)
-        edges = table[q] = list(dict.fromkeys(successors(q)))
-        for _label, target in edges:
-            if target not in table:
-                if len(table) >= max_states:
+            finals.append(len(table))
+        edges = {}
+        for label, target in successors(q):
+            j = number.get(target)
+            if j is None:
+                if len(number) >= max_states:
                     raise BudgetExceeded(budget_kind, max_states)
-                table[target] = None
+                j = number[target] = len(number)
                 queue.append(target)
-    return Fsa.from_out_edges(alphabet, table, start, finals)
+            edges[label, j] = None
+        table.append(tuple(edges))
+    del number  # free the markings before the automaton is built
+    return Fsa.from_out_edges(alphabet, dict(enumerate(table)), 0, finals)
 
 
 def _fired(net, m):
@@ -171,7 +178,7 @@ def _fired(net, m):
 def k_bounded_fsa(inst: NetInstance, k: int, max_states: int = 2_000_000) -> Fsa:
     """Automaton for the words of covering runs of length at most k.
 
-    States are the reachable (marking, steps-so-far) pairs, built lazily.
+    It explores the reachable (marking, steps-so-far) pairs, built lazily.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -323,22 +330,33 @@ def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
     """
     net = inst.net
     threshold = pump_threshold(inst)
+    arcs = tuple(net.arcs.values())
+    final = [(i, c) for i, c in enumerate(inst.final.counts) if c]
+    clamp = lambda v: OMEGA if v is not OMEGA and v >= threshold else v
 
     def successors(q):
-        for t in net.transitions:
-            fired = om_fire(net, q, t.name)
-            if fired is not None:
-                target = tuple(
-                    OMEGA if v is not OMEGA and v >= threshold else v for v in fired
-                )
-                yield t.label, target
+        # q's counts are omega or below the threshold; firing raises post's only
+        for label, pre, post in arcs:
+            target = om_fire(q, pre, post)
+            if target is not None:
+                for i, _w in post:
+                    if target[i] is not OMEGA and target[i] >= threshold:
+                        target = tuple(map(clamp, target))
+                        break
+                yield label, target
                 yield EPSILON, target
+
+    def accepting(q):
+        for i, c in final:
+            if q[i] is not OMEGA and q[i] < c:
+                return False
+        return True
 
     return _explore(
         net.alphabet,
         tuple(inst.initial.counts),
         successors,
-        lambda q: om_covers_marking(q, inst.final),
+        accepting,
         max_states,
         "cutoff abstraction states",
     )
@@ -355,7 +373,7 @@ def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:
     table = {q: [] for q in range(len(graph.nodes))}
     for src, name, dst in graph.edges:
         table[src] += [(inst.net.transition(name).label, dst), (EPSILON, dst)]
-    table = {q: list(dict.fromkeys(edges)) for q, edges in table.items()}
+    table = {q: tuple(dict.fromkeys(edges)) for q, edges in table.items()}
     finals = graph.covering_nodes(inst.final)
     fsa = Fsa.from_out_edges(inst.net.alphabet, table, graph.root, finals)
     return ClosureResult(fsa, exactness)

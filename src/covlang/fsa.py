@@ -43,7 +43,7 @@ class Fsa:
     @classmethod
     def from_out_edges(cls, alphabet, table: dict, initial, finals) -> Fsa:
         """Automaton whose states are the keys of ``table``, a dict from each
-        state to its list of distinct (label, target) pairs; the table
+        state to a tuple of its distinct (label, target) pairs; the table
         becomes the ``out_edges`` cache, so it is not rebuilt."""
         a = cls(
             tuple(alphabet),

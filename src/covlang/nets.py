@@ -101,6 +101,18 @@ class PetriNet:
             object.__setattr__(self, "_by_name", table)
         return table[name]
 
+    @property
+    def arcs(self) -> dict:
+        """Each transition's name mapped to (label, pre, post), in transition
+        order; pre and post are tuples of (place-index, weight)."""
+        arcs = self.__dict__.get("_arcs")
+        if arcs is None:
+            idx = self.place_index
+            at = lambda flow: tuple((idx[p], w) for p, w in flow)
+            arcs = {t.name: (t.label, at(t.pre), at(t.post)) for t in self.transitions}
+            object.__setattr__(self, "_arcs", arcs)
+        return arcs
+
     def max_arc_weight(self) -> int:
         """max(F): the largest weight appearing in the flow function."""
         weights = [w for t in self.transitions for _, w in t.pre + t.post]
@@ -183,15 +195,14 @@ class NetInstance:
 
 def fire(net: PetriNet, m: Marking, name: str) -> Marking:
     """Fire one transition; raises NotEnabled on a token deficit."""
-    t = net.transition(name)
-    idx = net.place_index
+    _label, pre, post = net.arcs[name]
     counts = list(m.counts)
-    for p, w in t.pre:
-        if counts[idx[p]] < w:
-            raise NotEnabled(name, p, w - counts[idx[p]])
-        counts[idx[p]] -= w
-    for p, w in t.post:
-        counts[idx[p]] += w
+    for i, w in pre:
+        if counts[i] < w:
+            raise NotEnabled(name, net.places[i], w - counts[i])
+        counts[i] -= w
+    for i, w in post:
+        counts[i] += w
     return Marking(tuple(counts))
 
 

@@ -67,22 +67,21 @@ def om_covers_marking(a: OmegaMarking, m: Marking) -> bool:
     return all(x is OMEGA or x >= c for x, c in zip(a, m.counts))
 
 
-def om_fire(net: PetriNet, m: OmegaMarking, name: str) -> OmegaMarking | None:
-    """Fire with omega treated as infinity; None when not enabled."""
-    t = net.transition(name)
-    idx = net.place_index
+def om_fire(m: OmegaMarking, pre, post) -> OmegaMarking | None:
+    """Fire a transition's arcs from ``PetriNet.arcs`` with omega treated as
+    infinity; None when not enabled.  Every omega-marking step goes through it."""
     counts = list(m)
-    for p, w in t.pre:
-        v = counts[idx[p]]
+    for i, w in pre:
+        v = counts[i]
         if v is OMEGA:
             continue
         if v < w:
             return None
-        counts[idx[p]] = v - w
-    for p, w in t.post:
-        v = counts[idx[p]]
+        counts[i] = v - w
+    for i, w in post:
+        v = counts[i]
         if v is not OMEGA:
-            counts[idx[p]] = v + w
+            counts[i] = v + w
     return tuple(counts)
 
 
@@ -150,6 +149,7 @@ def _accelerated_search(
     """
     search = _Search([], [], [])
     nodes, parents = search.nodes, search.parents
+    steps = [(name, *net.arcs[name][1:]) for name in names]
     index = {}
     for root in roots:
         if root not in index:
@@ -173,8 +173,8 @@ def _accelerated_search(
             chain.append(nodes[step[0]])
             step = parents[step[0]]
         chain.reverse()
-        for name in names:
-            succ = om_fire(net, nodes[i], name)
+        for name, pre, post in steps:
+            succ = om_fire(nodes[i], pre, post)
             if succ is None:
                 continue
             accel = om_accelerate(succ, chain)
@@ -275,12 +275,12 @@ class UpwardClosedSet:
 
 def _pre_marking(net: PetriNet, target: Marking, t) -> Marking:
     """Smallest marking from which firing t yields a marking covering target."""
-    idx = net.place_index
+    _label, pre, post = net.arcs[t.name]
     counts = list(target.counts)
-    for p, w in t.post:
-        counts[idx[p]] = max(counts[idx[p]] - w, 0)
-    for p, w in t.pre:
-        counts[idx[p]] += w
+    for i, w in post:
+        counts[i] = max(counts[i] - w, 0)
+    for i, w in pre:
+        counts[i] += w
     return Marking(tuple(counts))
 
 

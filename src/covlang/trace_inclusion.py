@@ -102,28 +102,29 @@ def silent_closure(net: PetriNet, markings, max_nodes: int = 50_000):
 
 
 def _net_steps(net: PetriNet):
+    """Each letter mapped to the (pre, post) arcs of its transitions."""
     by_label = {}
-    for t in net.transitions:
-        if t.label != EPSILON:
-            by_label.setdefault(t.label, []).append(t.name)
+    for label, pre, post in net.arcs.values():
+        if label != EPSILON:
+            by_label.setdefault(label, []).append((pre, post))
     return by_label
 
 
-def _letter_step(net: PetriNet, s, names, max_nodes: int) -> tuple:
-    """Antichain after one letter: fire each of its transitions ``names`` from
-    every marking of ``s`` and close the distinct results off silently."""
+def _letter_step(net: PetriNet, s, arcs, max_nodes: int) -> tuple:
+    """Antichain after one letter: fire each of its transitions' ``arcs``
+    from every marking of ``s`` and close the distinct results off silently."""
     moved = {}
     for m in s:
-        for name in names:
-            succ = om_fire(net, m, name)
+        for pre, post in arcs:
+            succ = om_fire(m, pre, post)
             if succ is not None:
                 moved[succ] = None
     return silent_closure(net, moved, max_nodes)[0]
 
 
-def _enabled(net: PetriNet, s, names) -> bool:
-    """Some transition of ``names`` is enabled at some marking of ``s``."""
-    return any(om_fire(net, m, name) is not None for m in s for name in names)
+def _enabled(s, arcs) -> bool:
+    """Some transition of ``arcs`` is enabled at some marking of ``s``."""
+    return any(om_fire(m, pre, post) is not None for m in s for pre, post in arcs)
 
 
 def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000):
@@ -160,13 +161,13 @@ def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int):
             qa2 = step(qa, x)
             if not qa2:
                 continue
-            names = by_label.get(x, ())
+            arcs = by_label.get(x, ())
             dead_end = not any(step(qa2, y) for y in letters)
             if dead_end:
-                if not _enabled(net, s, names):
+                if not _enabled(s, arcs):
                     return False, w + (x,)
             else:
-                s2 = _letter_step(net, s, names, max_nodes)
+                s2 = _letter_step(net, s, arcs, max_nodes)
                 if not s2:
                     return False, w + (x,)
                 subsumed = any(

@@ -150,6 +150,14 @@ class TestExportAndErrors:
         code, _, err = run_cli(["--budget-nodes", "5", "cover"], stdin_text=doc)
         assert code == 2 and "backward-coverability markings budget of 5" in err
 
+    def test_is_closed_down_node_budget_is_unknown(self):
+        # the cutoff automaton of bpp-power(10) has 2^10 + 2 states
+        doc = print_net(bpp_power_instance(10))
+        argv = ["--budget-nodes", "1000", "is-closed", "--dir", "down"]
+        code, out, _ = run_cli(argv, stdin_text=doc)
+        assert code == 2
+        assert out == "unknown (cutoff abstraction states budget of 1000 exceeded)\n"
+
     def test_sre_in_up_node_budget_is_unknown(self, power2_doc):
         argv = ["--budget-nodes", "0", "sre-in", "--dir", "up", "-e", "a.a.a.a"]
         for route in ("auto", "pn"):

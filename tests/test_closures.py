@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -23,6 +24,7 @@ from covlang.closures import (
 from covlang.errors import BudgetExceeded, NotBpp
 from covlang.families import bpp_power_instance
 from covlang.fsa import (
+    Fsa,
     accepts,
     enumerate_words,
     equivalent,
@@ -32,7 +34,7 @@ from covlang.fsa import (
     minimal_dfa_size,
 )
 from covlang.nets import EPSILON, Marking, NetInstance, PetriNet, Transition, is_bpp
-from covlang.reach import brute_force_language, member
+from covlang.reach import OMEGA, brute_force_language, member
 
 
 def chain_fsa(limit, at_least=False):
@@ -263,6 +265,16 @@ class TestDcFsaBpp:
             dc_fsa_bpp(ackermann11)
         assert equivalent(dc_fsa_pn(ackermann11).fsa, chain_fsa(3))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_power_budget_boundary(self, n):
+        """bpp-power(n) has 2^n + 2 cutoff states: that budget builds them
+        all, one less raises."""
+        inst = bpp_power_instance(n)
+        assert len(dc_fsa_bpp(inst, 2**n + 2).states) == 2**n + 2
+        with pytest.raises(BudgetExceeded) as err:
+            dc_fsa_bpp(inst, 2**n + 1)
+        assert (err.value.kind, err.value.budget) == ("cutoff abstraction states", 2**n + 1)
+
     def test_soundness_and_completeness_on_random_bpps(self):
         rng = random.Random(63)
         for _ in range(15):
@@ -352,3 +364,180 @@ class TestOutEdgesHandOver:
                     assert set(edges) == rebuilt.get(q, set()), (i, q)
                 checked += 1
         assert checked >= 280
+
+
+# The explorers before they numbered their states: transitions fired by name
+# over place names, the whole marking clamped after each cutoff step, and
+# the automaton's states the explored markings themselves.
+
+
+def _reference_om_fire(net, m, name):
+    t = net.transition(name)
+    idx = net.place_index
+    counts = list(m)
+    for p, w in t.pre:
+        v = counts[idx[p]]
+        if v is OMEGA:
+            continue
+        if v < w:
+            return None
+        counts[idx[p]] = v - w
+    for p, w in t.post:
+        v = counts[idx[p]]
+        if v is not OMEGA:
+            counts[idx[p]] = v + w
+    return tuple(counts)
+
+
+def _reference_explore(alphabet, start, successors, accepting, max_states, budget_kind):
+    table = {start: None}
+    finals = set()
+    queue = deque([start])
+    while queue:
+        q = queue.popleft()
+        if accepting(q):
+            finals.add(q)
+        edges = table[q] = list(dict.fromkeys(successors(q)))
+        for _label, target in edges:
+            if target not in table:
+                if len(table) >= max_states:
+                    raise BudgetExceeded(budget_kind, max_states)
+                table[target] = None
+                queue.append(target)
+    return Fsa.from_out_edges(alphabet, table, start, finals)
+
+
+def _covers(m, final):
+    return all(v is OMEGA or v >= c for v, c in zip(m, final.counts))
+
+
+def _reference_dc_fsa_bpp(inst, max_states):
+    net = inst.net
+    threshold = closures.pump_threshold(inst)
+
+    def successors(q):
+        for t in net.transitions:
+            fired = _reference_om_fire(net, q, t.name)
+            if fired is not None:
+                target = tuple(
+                    OMEGA if v is not OMEGA and v >= threshold else v for v in fired
+                )
+                yield t.label, target
+                yield EPSILON, target
+
+    return _reference_explore(
+        net.alphabet,
+        tuple(inst.initial.counts),
+        successors,
+        lambda q: _covers(q, inst.final),
+        max_states,
+        "cutoff abstraction states",
+    )
+
+
+def _reference_k_bounded_fsa(inst, k, max_states):
+    def successors(state):
+        m, i = state
+        if i < k:
+            for t in inst.net.transitions:
+                nxt = _reference_om_fire(inst.net, m, t.name)
+                if nxt is not None:
+                    yield t.label, (nxt, i + 1)
+
+    return _reference_explore(
+        inst.net.alphabet,
+        (tuple(inst.initial.counts), 0),
+        successors,
+        lambda state: _covers(state[0], inst.final),
+        max_states,
+        "bounded-run states",
+    )
+
+
+def _reference_reachability_fsa(inst, k, max_states):
+    start = tuple(inst.initial.counts)
+    depth = {start: 0}
+
+    def successors(m):
+        d = depth[m]
+        if d < k:
+            for t in inst.net.transitions:
+                nxt = _reference_om_fire(inst.net, m, t.name)
+                if nxt is not None:
+                    depth.setdefault(nxt, d + 1)
+                    yield t.label, nxt
+
+    return _reference_explore(
+        inst.net.alphabet,
+        start,
+        successors,
+        lambda m: _covers(m, inst.final),
+        max_states,
+        "reachable states",
+    )
+
+
+def _same_up_to_numbering(build, reference):
+    """Both raise the same BudgetExceeded, or ``build`` returns the reference
+    automaton with each state renamed by its discovery index.  Returns the
+    reference automaton, or None on an overrun."""
+    try:
+        ref = reference()
+    except BudgetExceeded as err:
+        with pytest.raises(BudgetExceeded) as got:
+            build()
+        assert (got.value.kind, got.value.budget) == (err.kind, err.budget)
+        return None
+    a = build()
+    number = {q: i for i, q in enumerate(ref.out_edges())}
+    assert a.states == frozenset(range(len(number)))
+    assert a.initial == 0 == number[ref.initial]
+    assert a.finals == {number[q] for q in ref.finals}
+    assert a.transitions == {(number[q], x, number[q2]) for q, x, q2 in ref.transitions}
+    assert a.out_edges() == {
+        number[q]: tuple((x, number[q2]) for x, q2 in edges)
+        for q, edges in ref.out_edges().items()
+    }
+    return ref
+
+
+class TestNumberedExploration:
+    """The explorers number their states in discovery order and fire
+    index-compiled arcs; the automata they build are the marking-keyed
+    reference automata renamed, and they overrun the same budgets."""
+
+    def test_dc_fsa_bpp_matches_the_reference(self):
+        rng = random.Random(2027)
+        built = with_omega = overruns = 0
+        for _ in range(1_500):
+            inst = random_net(
+                rng, max_places=4, max_transitions=4, max_weight=2, bpp=True
+            )
+            ref = _same_up_to_numbering(
+                lambda: dc_fsa_bpp(inst, 3_000),
+                lambda: _reference_dc_fsa_bpp(inst, 3_000),
+            )
+            if ref is None:
+                overruns += 1
+                continue
+            built += 1
+            with_omega += any(OMEGA in q for q in ref.states)
+        assert built >= 1_100 and with_omega >= 300 and overruns >= 300
+
+    def test_k_bounded_and_reachability_match_the_reference(self):
+        rng = random.Random(2028)
+        built = overruns = 0
+        for i in range(300):
+            inst = random_net(rng, bpp=i % 2 == 0)
+            for k in (3, 10):
+                for build, reference in (
+                    (k_bounded_fsa, _reference_k_bounded_fsa),
+                    (reachability_fsa, _reference_reachability_fsa),
+                ):
+                    ref = _same_up_to_numbering(
+                        lambda: build(inst, k, 100),
+                        lambda: reference(inst, k, 100),
+                    )
+                    built += ref is not None
+                    overruns += ref is None
+        assert built >= 1_000 and overruns >= 50

@@ -203,7 +203,8 @@ class TestSilentClosure:
                 path = [source]
                 last = False
                 for name in fired:
-                    succ = om_fire(inst.net, path[-1], name)
+                    _label, pre, post = inst.net.arcs[name]
+                    succ = om_fire(path[-1], pre, post)
                     assert succ is not None
                     path.append(om_accelerate(succ, path))
                     last = path[-1] != succ
