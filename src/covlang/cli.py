@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="force the general (pn) or the communication-free (bpp) route; "
         "both decide the same way (--dir up: minimal-word coverability, "
-        "--dir down: simultaneous unboundedness), and bpp accepts "
-        "communication-free nets only",
+        "--dir down: the ideal check on the Karp-Miller closure automaton), "
+        "and bpp accepts communication-free nets only",
     )
 
     p = sub.add_parser("is-closed", help="is the language equal to its closure?")

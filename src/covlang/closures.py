@@ -366,7 +366,9 @@ def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:
     """Downward closure from the coverability graph: nodes become states, each
     edge gets a silent twin, covering nodes accept.  Exact when the graph
     construction completes within budget; a partial graph still yields a sound
-    under-approximation.
+    under-approximation.  The silent twins make the automaton's language
+    downward closed as read, so ``sre_inclusion.sre_in_dc_pn`` checks every
+    product of an expression on this one automaton, on every net.
     """
     graph = km_graph(inst.net, inst.initial, max_nodes=max_nodes, partial=True)
     exactness = "exact" if graph.complete else "partial"

@@ -192,20 +192,18 @@ def equivalent(a: Fsa, b: Fsa) -> bool:
     return included(a, b)[0] and included(b, a)[0]
 
 
-def _silent_closures(silent) -> list[int]:
-    """Each state's epsilon closure as a bitmask, in one pass (Tarjan's SCCs).
-
-    ``silent[i]`` lists the silent successors of state i.  A strongly
-    connected component is finished after every component it reaches, so its
-    closure is its own bits joined with the closures of those components.
-    A finished state's closure holds at least its own bit, so 0 marks the
-    states still unfinished.
+def components(successors) -> list[list[int]]:
+    """Strongly connected components of the graph on vertices 0..n-1 with
+    ``successors[i]`` the successors of vertex i, by iterative Tarjan.  Each
+    component is a list of vertices and comes after every component it
+    reaches.
     """
-    n = len(silent)
-    closure = [0] * n
+    n = len(successors)
     order = [0] * n  # discovery number, 0 while unvisited
     low = [0] * n
+    done = [False] * n
     stack = []
+    found = []
     counter = 0
     for root in range(n):
         if order[root]:
@@ -213,17 +211,17 @@ def _silent_closures(silent) -> list[int]:
         counter += 1
         order[root] = low[root] = counter
         stack.append(root)
-        work = [(root, iter(silent[root]))]
+        work = [(root, iter(successors[root]))]
         while work:
-            v, successors = work[-1]
-            for w in successors:
+            v, targets = work[-1]
+            for w in targets:
                 if not order[w]:
                     counter += 1
                     order[w] = low[w] = counter
                     stack.append(w)
-                    work.append((w, iter(silent[w])))
+                    work.append((w, iter(successors[w])))
                     break
-                if not closure[w]:  # on the stack: same component as v
+                if not done[w]:  # on the stack: same component as v
                     low[v] = min(low[v], order[w])
             else:
                 work.pop()
@@ -232,15 +230,31 @@ def _silent_closures(silent) -> list[int]:
                     low[parent] = min(low[parent], low[v])
                 if low[v] == order[v]:
                     members = []
-                    mask = 0
                     while not members or members[-1] != v:
                         m = stack.pop()
+                        done[m] = True
                         members.append(m)
-                        mask |= 1 << m
-                        for w in silent[m]:
-                            mask |= closure[w]
-                    for m in members:
-                        closure[m] = mask
+                    found.append(members)
+    return found
+
+
+def _silent_closures(silent) -> list[int]:
+    """Each state's epsilon closure as a bitmask, in one pass over the
+    strongly connected components of the silent edges.
+
+    ``silent[i]`` lists the silent successors of state i.  A component comes
+    after every component it reaches, so its closure is its own bits joined
+    with the closures of those components.
+    """
+    closure = [0] * len(silent)
+    for members in components(silent):
+        mask = 0
+        for m in members:
+            mask |= 1 << m
+            for w in silent[m]:
+                mask |= closure[w]
+        for m in members:
+            closure[m] = mask
     return closure
 
 

@@ -2,11 +2,11 @@
 unboundedness, membership oracles, and the bounded brute-force explorer used
 as a test oracle.
 
-One accelerated search over omega-markings serves ``km_graph`` (the whole
-graph), ``simultaneously_unbounded`` (keeps only the cover set and stops at
-the first node that is omega on every target place) and
-``trace_inclusion.silent_closure`` (silent transitions only, from several
-roots).
+One accelerated search over omega-markings, run on markings with ``inf``
+for omega, serves ``km_graph`` (the whole graph), ``simultaneously_unbounded``
+(keeps only the cover set and stops at the first node that is omega on every
+target place) and ``trace_inclusion.silent_closure`` (silent transitions
+only, from several roots).
 
 Backward coverability (``coverable``, and ``member`` through it) saturates an
 antichain of minimal markings from the final marking.  It drops every
@@ -60,7 +60,12 @@ def om_geq(a, b) -> bool:
 
 
 def _inf_key(m: OmegaMarking) -> tuple:
+    """The marking with ``inf`` for omega, so that ``>=`` is Python's own."""
     return tuple(inf if x is OMEGA else x for x in m)
+
+
+def _omega_marking(key: tuple) -> OmegaMarking:
+    return tuple(OMEGA if x == inf else x for x in key)
 
 
 def om_covers_marking(a: OmegaMarking, m: Marking) -> bool:
@@ -69,7 +74,8 @@ def om_covers_marking(a: OmegaMarking, m: Marking) -> bool:
 
 def om_fire(m: OmegaMarking, pre, post) -> OmegaMarking | None:
     """Fire a transition's arcs from ``PetriNet.arcs`` with omega treated as
-    infinity; None when not enabled.  Every omega-marking step goes through it."""
+    infinity; None when not enabled.  Every omega-marking step goes through it,
+    on markings with OMEGA or with ``inf`` for omega (``_inf_key``) alike."""
     counts = list(m)
     for i, w in pre:
         v = counts[i]
@@ -85,22 +91,22 @@ def om_fire(m: OmegaMarking, pre, post) -> OmegaMarking | None:
     return tuple(counts)
 
 
-def om_accelerate(candidate: OmegaMarking, ancestors) -> OmegaMarking:
-    """Set omega on places strictly increased over some dominated ancestor."""
+def om_accelerate(candidate: tuple, ancestors) -> tuple:
+    """Set omega on places strictly increased over some dominated ancestor.
+
+    Markings carry ``inf`` for omega (``_inf_key``).  Acceleration only
+    raises places, so the result does not depend on the ancestors' order.
+    """
     current = candidate
     changed = True
     while changed:
         changed = False
         for anc in ancestors:
-            if anc == current or not om_geq(current, anc):
-                continue
-            lifted = tuple(
-                OMEGA if (x is not OMEGA and y is not OMEGA and x > y) else x
-                for x, y in zip(current, anc)
-            )
-            if lifted != current:
-                current = lifted
-                changed = True
+            if anc != current and all(map(ge, current, anc)):
+                lifted = tuple(inf if x > y else x for x, y in zip(current, anc))
+                if lifted != current:
+                    current = lifted
+                    changed = True
     return current
 
 
@@ -134,10 +140,13 @@ def _accelerated_search(
     """Breadth-first Karp-Miller search from the given omega-markings, firing
     the named transitions in order.
 
+    The search runs on markings with ``inf`` for omega (``_inf_key``), so a
+    dominance test is one ``all(map(ge, ...))``, and returns them with OMEGA.
     Identical omega-markings are merged.  Each successor is accelerated
     against its chain of first-discovery ancestors, walked from parent
-    pointers.  The search ends at the first node (a root included) satisfying
-    ``stop``.  A new node beyond ``max_nodes`` raises BudgetExceeded, or with
+    pointers.  The search ends at the first node (a root included)
+    satisfying ``stop``, which is given the marking with ``inf`` for omega.
+    A new node beyond ``max_nodes`` raises BudgetExceeded, or with
     partial=True is dropped and the search flagged incomplete.
 
     Given ``stop``, which must be upward closed, the search keeps only the
@@ -148,60 +157,63 @@ def _accelerated_search(
     the whole graph would meet it; the edges are then incomplete.
     """
     search = _Search([], [], [])
-    nodes, parents = search.nodes, search.parents
+    keys, parents = [], search.parents
     steps = [(name, *net.arcs[name][1:]) for name in names]
     index = {}
-    for root in roots:
+
+    def finish():
+        search.nodes[:] = map(_omega_marking, keys)
+        return search
+
+    for root in map(_inf_key, roots):
         if root not in index:
-            index[root] = len(nodes)
-            nodes.append(root)
+            index[root] = len(keys)
+            keys.append(root)
             parents.append(None)
             if stop is not None and stop(root):
                 search.found = True
-                return search
-    # with stop: the nodes that no other node strictly covers, each mapped to
-    # its marking with inf for omega, so that a cover test is one map(ge)
-    active = {i: _inf_key(m) for i, m in enumerate(nodes)} if stop is not None else {}
-    frontier = deque(range(len(nodes)))
+                return finish()
+    # with stop: the nodes that no other node strictly covers
+    active = dict(enumerate(keys)) if stop is not None else {}
+    frontier = deque(range(len(keys)))
     while frontier:
         i = frontier.popleft()
         if stop is not None and i not in active:
             continue
-        chain = [nodes[i]]
+        node = keys[i]
+        chain = [node]
         step = parents[i]
         while step is not None:
-            chain.append(nodes[step[0]])
+            chain.append(keys[step[0]])
             step = parents[step[0]]
-        chain.reverse()
         for name, pre, post in steps:
-            succ = om_fire(nodes[i], pre, post)
+            succ = om_fire(node, pre, post)
             if succ is None:
                 continue
             accel = om_accelerate(succ, chain)
             target = index.get(accel)
             if target is None:
                 if stop is not None:
-                    key = _inf_key(accel)
-                    if any(all(map(ge, k, key)) for k in active.values()):
+                    if any(all(map(ge, k, accel)) for k in active.values()):
                         continue
                     if stop(accel):
                         search.found = True
-                        return search
-                if len(nodes) >= max_nodes:
+                        return finish()
+                if len(keys) >= max_nodes:
                     if not partial:
                         raise BudgetExceeded(budget_kind, max_nodes)
                     search.complete = False
                     continue
-                target = index[accel] = len(nodes)
-                nodes.append(accel)
+                target = index[accel] = len(keys)
+                keys.append(accel)
                 parents.append((i, name, accel != succ))
                 frontier.append(target)
                 if stop is not None:
-                    for j in [j for j, k in active.items() if all(map(ge, key, k))]:
+                    for j in [j for j, k in active.items() if all(map(ge, accel, k))]:
                         del active[j]
-                    active[target] = key
+                    active[target] = accel
             search.edges.append((i, name, target))
-    return search
+    return finish()
 
 
 def km_graph(
@@ -234,7 +246,7 @@ def simultaneously_unbounded(
         return True
 
     def hit(node):
-        return all(node[i] is OMEGA for i in targets)
+        return all(node[i] == inf for i in targets)
 
     names = [t.name for t in net.transitions]
     return _accelerated_search(

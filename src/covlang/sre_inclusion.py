@@ -3,20 +3,26 @@ downward closure of a coverability language.
 
 Upward closure, on every net: the expression is included iff the minimal word
 of each of its products is in the closure, which backward coverability
-decides (``reach.member``).  Downward closure, on every net: each product
-reduces to simultaneous unboundedness of counting places in a synchronized
-product net.  The communication-free routes decide the same way and only
-check that the net is communication-free.  For such nets the staged-witness
-(``p_witness_system``) and staged-cover (``staged_cover_system``) formulas
-state the two questions in existential arithmetic, for export.
+decides (``reach.member``).  Downward closure, on every net: the Karp-Miller
+closure automaton (``closures.dc_fsa_pn``) is built once per query, and each
+product, an ideal, is checked on it by one polynomial path search
+(``ideal_inclusion``; Abdulla, Collomb-Annichini, Bouajjani and Jonsson, FMSD
+2004).  The communication-free routes decide the same way and only check that
+the net is communication-free.  ``product_in_dc_pn`` decides one product
+through simultaneous unboundedness of counting places in a synchronized
+product net; it is the reference the tests compare against, off the decision
+path.  For communication-free nets the staged-witness (``p_witness_system``)
+and staged-cover (``staged_cover_system``) formulas state the two questions
+in existential arithmetic, for export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closures import pump_threshold
+from .closures import dc_fsa_pn, pump_threshold
 from .errors import AlphabetMismatch, BudgetExceeded, NotBpp
+from .fsa import Fsa, components
 from .nets import (
     EPSILON,
     Marking,
@@ -44,6 +50,7 @@ from .sre import (
     AlphabetOrder,
     Product,
     Sre,
+    Star,
     default_order,
     lin_to_net,
     linearize,
@@ -75,7 +82,92 @@ def _check_alphabet(s: Sre, inst: NetInstance):
         )
 
 
-# General nets: reduction to simultaneous unboundedness
+# Downward closure: products checked on the closure automaton
+
+
+def ideal_inclusion(a: Fsa):
+    """Decider for inclusion of a product in L(a), where L(a) is downward
+    closed.
+
+    A product lies in L(a) iff a has an accepting path that, in the order of
+    the product's atoms, takes an edge labelled x for each atom x or (x+eps),
+    and passes through a strongly connected component whose internal edges
+    carry every letter of G for each atom G*.  Extra letters between these
+    steps do no harm, since L(a) is downward closed.  The check runs on the
+    components: the set of components reachable so far is narrowed atom by
+    atom, and the product is included iff a final state's component remains.
+    """
+    out = a.out_edges()
+    states = list(a.states)
+    number = {q: i for i, q in enumerate(states)}
+    edges = [[(x, number[r]) for x, r in out.get(q, ())] for q in states]
+    found = components([[r for _x, r in row] for row in edges])
+    comp = [0] * len(states)
+    for c, members in enumerate(found):
+        for q in members:
+            comp[q] = c
+    internal = [set() for _ in found]  # letters on internal edges
+    after = [{} for _ in found]  # letter -> components its edges enter
+    succ = [set() for _ in found]  # other components one edge enters
+    for q, row in enumerate(edges):
+        c = comp[q]
+        for x, r in row:
+            d = comp[r]
+            if x != EPSILON:
+                after[c].setdefault(x, set()).add(d)
+                if d == c:
+                    internal[c].add(x)
+            if d != c:
+                succ[c].add(d)
+    final = {comp[number[q]] for q in a.finals}
+
+    def reach(starts) -> set:
+        seen = set(starts)
+        stack = list(seen)
+        while stack:
+            for d in succ[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return seen
+
+    start = reach([comp[number[a.initial]]])
+
+    def included(p: Product) -> bool:
+        live = start
+        for atom in p.atoms:
+            if isinstance(atom, Star):
+                if atom.letters:
+                    live = reach(c for c in live if atom.letters <= internal[c])
+            else:
+                live = reach(d for c in live for d in after[c].get(atom.letter, ()))
+            if not live:
+                return False
+        return not final.isdisjoint(live)
+
+    return included
+
+
+def sre_in_dc_pn(s: Sre, inst: NetInstance, max_nodes: int = 100_000) -> Verdict:
+    """Inclusion of the expression in the downward closure (any net).
+
+    Every product is checked on one Karp-Miller closure automaton.  A graph
+    cut short by ``max_nodes`` under-approximates the closure, so ``holds``
+    stays sound on it, and a product that fails there is ``unknown``.
+    """
+    _check_alphabet(s, inst)
+    closure = dc_fsa_pn(inst, max_nodes)
+    included = ideal_inclusion(closure.fsa)
+    for p in s.products:
+        if not included(p):
+            if closure.exact:
+                return Verdict("fails", failing_product=p)
+            detail = str(BudgetExceeded("karp-miller nodes", max_nodes))
+            return Verdict("unknown", failing_product=p, detail=detail)
+    return HOLDS
+
+
+# Reference decision: reduction to simultaneous unboundedness
 
 
 def dc_unboundedness_system(p: Product, inst: NetInstance, order: AlphabetOrder):
@@ -115,26 +207,14 @@ def product_in_dc_pn(
     order: AlphabetOrder | None = None,
     max_nodes: int = 100_000,
 ) -> bool:
+    """Inclusion of one product in the downward closure, decided by
+    simultaneous unboundedness on ``dc_unboundedness_system``; raises
+    BudgetExceeded past ``max_nodes``.  The reference for ``sre_in_dc_pn``:
+    no decision path calls it.
+    """
     order = order or default_order(inst.net.alphabet)
     net, m0, targets = dc_unboundedness_system(p, inst, order)
     return simultaneously_unbounded(net, m0, targets, max_nodes=max_nodes)
-
-
-def sre_in_dc_pn(
-    s: Sre,
-    inst: NetInstance,
-    order: AlphabetOrder | None = None,
-    max_nodes: int = 100_000,
-) -> Verdict:
-    """Inclusion of the expression in the downward closure (any net)."""
-    _check_alphabet(s, inst)
-    for p in s.products:
-        try:
-            if not product_in_dc_pn(p, inst, order, max_nodes):
-                return Verdict("fails", failing_product=p)
-        except BudgetExceeded as err:
-            return Verdict("unknown", failing_product=p, detail=str(err))
-    return HOLDS
 
 
 def sre_in_uc_pn(s: Sre, inst: NetInstance, max_nodes: int = 100_000) -> Verdict:
@@ -287,16 +367,11 @@ def p_witness_system(
     return nprime, formula, spec
 
 
-def sre_in_dc_bpp(
-    s: Sre,
-    inst: NetInstance,
-    order: AlphabetOrder | None = None,
-    max_nodes: int = 100_000,
-) -> Verdict:
+def sre_in_dc_bpp(s: Sre, inst: NetInstance, max_nodes: int = 100_000) -> Verdict:
     """Downward-closure inclusion on the communication-free route.
 
-    Decides each product exactly as ``sre_in_dc_pn`` does, by simultaneous
-    unboundedness; the route only adds the guard that the net is
+    Decides each product exactly as ``sre_in_dc_pn`` does, on the Karp-Miller
+    closure automaton; the route only adds the guard that the net is
     communication-free.  The staged-witness formula of the same question
     (``p_witness_system``) is exported by ``covlang export --smt2 --dir
     down``, not solved here.
@@ -304,7 +379,7 @@ def sre_in_dc_bpp(
     _check_alphabet(s, inst)
     if not is_bpp(inst.net):
         raise NotBpp("use sre_in_dc_pn for nets with synchronization")
-    return sre_in_dc_pn(s, inst, order, max_nodes)
+    return sre_in_dc_pn(s, inst, max_nodes)
 
 
 def staged_cover_system(w, inst: NetInstance):

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from corpus import random_net, random_product, random_sre
+from covlang.closures import dc_fsa_pn
 from covlang.errors import AlphabetMismatch, NotBpp, SolverUnavailable
-from covlang.families import bpp_power_instance
+from covlang.families import ackermann_instance, bpp_power_instance
+from covlang.fsa import accepts
 from covlang.nets import Marking, NetInstance
 from covlang.presburger import evaluate, parse_smtlib_script, smtlib_export
 from covlang.reach import member
@@ -13,11 +15,13 @@ from covlang.sre import (
     OptionalLetter,
     Product,
     Sre,
+    Star,
     min_word,
     product,
     star,
 )
 from covlang.sre_inclusion import (
+    ideal_inclusion,
     p_witness_system,
     product_in_dc_pn,
     pump_threshold,
@@ -28,6 +32,7 @@ from covlang.sre_inclusion import (
     sre_in_uc_pn,
     staged_cover_system,
 )
+from covlang.textio import parse_sre
 
 A4 = Sre((product(*[Letter("a")] * 4),))
 A5 = Sre((product(*[Letter("a")] * 5),))
@@ -70,6 +75,154 @@ class TestDcPn:
     def test_alphabet_mismatch(self, power2):
         with pytest.raises(AlphabetMismatch):
             sre_in_dc_pn(Sre((product(Letter("z")),)), power2)
+
+
+def _reference(s, inst):
+    """The verdict of simultaneous unboundedness, product by product."""
+    for p in s.products:
+        if not product_in_dc_pn(p, inst):
+            return "fails"
+    return "holds"
+
+
+def _words(p, alphabet, k):
+    """Every word of the product of length at most k."""
+    words = {()}
+    for atom in p.atoms:
+        if isinstance(atom, Letter):
+            tails = [(atom.letter,)]
+        elif isinstance(atom, OptionalLetter):
+            tails = [(), (atom.letter,)]
+        else:
+            letters = [a for a in alphabet if a in atom.letters]
+            tails = longest = [()]
+            for _ in range(k):
+                longest = [u + (a,) for u in longest for a in letters]
+                tails = tails + longest
+        words = {w + u for w in words for u in tails if len(w) + len(u) <= k}
+    return words
+
+
+def _pumped(p, alphabet, states):
+    """The product's word with each G* written as G, in alphabet order,
+    states + 1 times, and each optional letter as its letter."""
+    w = []
+    for atom in p.atoms:
+        if isinstance(atom, Star):
+            w += [a for a in alphabet if a in atom.letters] * (states + 1)
+        else:
+            w.append(atom.letter)
+    return tuple(w)
+
+
+class TestIdealCheck:
+    """``ideal_inclusion`` against the automaton's words and against
+    membership in the downward closure, not against components."""
+
+    def test_included_words_are_accepted_and_pumped_words_are_not(self):
+        rng = random.Random(85)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            inst = random_net(rng, max_places=3, max_transitions=3, bpp=rng.random() < 0.5)
+            closure = dc_fsa_pn(inst, 2_000)
+            assert closure.exact
+            a = closure.fsa
+            included = ideal_inclusion(a)
+            for _ in range(3):
+                p = random_product(rng)
+                alphabet = inst.net.alphabet
+                if included(p):
+                    for w in _words(p, alphabet, 4):
+                        assert accepts(a, w), (inst, p, w)
+                else:
+                    w = _pumped(p, alphabet, len(a.states))
+                    assert not member(w, inst, "down"), (inst, p, w)
+                seen[included(p)] += 1
+        assert min(seen.values()) > 200
+
+    def test_word_enumeration_and_pumping(self):
+        p = product(Letter("b"), star("ba"), OptionalLetter("a"))
+        assert _words(p, ("a", "b"), 2) == {("b",), ("b", "a"), ("b", "b")}
+        assert _pumped(p, ("a", "b"), 1) == ("b", "a", "b", "a", "b", "a")
+
+    def test_partial_graph_still_proves_inclusion(self, rackoff_ce):
+        # rackoff-ce's graph has 4 nodes and Ackermann 2:1's 869; cut short,
+        # they still reach a covering node
+        cases = [(rackoff_ce, 3), (ackermann_instance(2, 1), 20)]
+        for inst, budget in cases:
+            assert not dc_fsa_pn(inst, budget).exact
+            verdict = sre_in_dc_pn(EMPTY_STAR, inst, max_nodes=budget)
+            assert verdict.holds
+            assert sre_in_dc_pn(EMPTY_STAR, inst).holds
+
+    def test_partial_graph_never_fails(self):
+        rng = random.Random(87)
+        held = unknown = 0
+        for _ in range(300):
+            inst = random_net(rng, max_places=3, max_transitions=3, bpp=rng.random() < 0.5)
+            s = random_sre(rng)
+            exact = sre_in_dc_pn(s, inst).answer
+            for budget in (1, 2, 3):
+                answer = sre_in_dc_pn(s, inst, max_nodes=budget).answer
+                if dc_fsa_pn(inst, budget).exact:
+                    assert answer == exact
+                elif answer == "holds":
+                    assert exact == "holds", (inst, s, budget)
+                    held += 1
+                else:
+                    assert answer == "unknown"
+                    unknown += 1
+        assert held > 25 and unknown > 100
+
+
+class TestAgainstUnboundedness:
+    """``sre_in_dc_pn`` returns the verdict of simultaneous unboundedness on
+    synchronized product nets (``product_in_dc_pn``)."""
+
+    @pytest.mark.parametrize("bpp", [True, False])
+    def test_random_draws(self, bpp):
+        rng = random.Random(11)
+        verdicts = {"holds": 0, "fails": 0}
+        for _ in range(1_500):
+            inst = random_net(rng, max_places=3, max_transitions=3, max_weight=2, bpp=bpp)
+            s = random_sre(rng)
+            answer = sre_in_dc_pn(s, inst).answer
+            assert answer == _reference(s, inst), (inst, s)
+            verdicts[answer] += 1
+        assert min(verdicts.values()) > 300
+
+    @pytest.mark.parametrize("a, b", [(2, 1), (3, 0)])
+    def test_ackermann(self, a, b):
+        inst = ackermann_instance(a, b)
+        for text in ("{a}*", "a.a", "{a}*.a", "{}*"):
+            s = parse_sre(text)
+            assert sre_in_dc_pn(s, inst).answer == _reference(s, inst), text
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_power_family(self, n):
+        inst = bpp_power_instance(n)
+        for s in (ASTAR, EMPTY_STAR):
+            assert sre_in_dc_pn(s, inst).answer == _reference(s, inst)
+
+
+def test_decision_builds_one_graph_and_no_product_net(rackoff_ce, monkeypatch):
+    import covlang
+
+    calls = {"right_product": 0, "km_graph": 0}
+    for name in calls:
+        original = getattr(covlang.nets if name == "right_product" else covlang.reach, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in vars(covlang).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    s = parse_sre("{a}*.b + a.{a}* + c.c")
+    assert len(s.products) == 3
+    assert sre_in_dc_pn(s, rackoff_ce).answer == "fails"
+    assert calls == {"right_product": 0, "km_graph": 1}
 
 
 class TestUcPn:
