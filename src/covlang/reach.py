@@ -6,7 +6,14 @@ One accelerated search over omega-markings, run on markings with ``inf``
 for omega, serves ``km_graph`` (the whole graph), ``simultaneously_unbounded``
 (keeps only the cover set and stops at the first node that is omega on every
 target place) and ``trace_inclusion.silent_closure`` (silent transitions
-only, from several roots).
+only, from several roots).  Its dominance tests rest on one fact: a marking
+strictly below another has a strictly lower rank (omega count, then finite
+token sum) and a support inside the other's.  Each node keeps its rank, its
+support bitmask and a pointer to its nearest proper ancestor of lower rank,
+so acceleration walks only ancestors that can lie below the successor.  The
+cover set and the antichain of ``trace_inclusion._maximal`` are indexed by
+support (``_SupportIndex``): one bitmask per place of the markings holding a
+token or omega there.
 
 Backward coverability (``coverable``, and ``member`` through it) saturates an
 antichain of minimal markings from the final marking.  It drops every
@@ -19,8 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, inf
-from operator import ge
+from itertools import compress
+from math import gcd, inf, isfinite
+from operator import ge, not_
 
 from .errors import AlphabetMismatch, BudgetExceeded, NotEnabled
 from .nets import (
@@ -61,10 +69,14 @@ def om_geq(a, b) -> bool:
 
 def _inf_key(m: OmegaMarking) -> tuple:
     """The marking with ``inf`` for omega, so that ``>=`` is Python's own."""
+    if OMEGA not in m:
+        return tuple(m)
     return tuple(inf if x is OMEGA else x for x in m)
 
 
 def _omega_marking(key: tuple) -> OmegaMarking:
+    if inf not in key:
+        return key
     return tuple(OMEGA if x == inf else x for x in key)
 
 
@@ -76,14 +88,15 @@ def om_fire(m: OmegaMarking, pre, post) -> OmegaMarking | None:
     """Fire a transition's arcs from ``PetriNet.arcs`` with omega treated as
     infinity; None when not enabled.  Every omega-marking step goes through it,
     on markings with OMEGA or with ``inf`` for omega (``_inf_key``) alike."""
+    for i, w in pre:
+        v = m[i]
+        if v is not OMEGA and v < w:
+            return None
     counts = list(m)
     for i, w in pre:
         v = counts[i]
-        if v is OMEGA:
-            continue
-        if v < w:
-            return None
-        counts[i] = v - w
+        if v is not OMEGA:
+            counts[i] = v - w
     for i, w in post:
         v = counts[i]
         if v is not OMEGA:
@@ -91,23 +104,127 @@ def om_fire(m: OmegaMarking, pre, post) -> OmegaMarking | None:
     return tuple(counts)
 
 
-def om_accelerate(candidate: tuple, ancestors) -> tuple:
-    """Set omega on places strictly increased over some dominated ancestor.
+def _rank(key: tuple) -> tuple:
+    """(omega count, finite token sum) of a marking with ``inf`` for omega.
 
-    Markings carry ``inf`` for omega (``_inf_key``).  Acceleration only
-    raises places, so the result does not depend on the ancestors' order.
+    A marking strictly below another has a strictly lower rank."""
+    omegas = key.count(inf)
+    if not omegas:
+        return 0, sum(key)
+    return omegas, sum(filter(isfinite, key))
+
+
+class _Tree:
+    """Nodes of an accelerated search over a net's places, each a marking
+    with ``inf`` for omega, with the key it is compared by (its rank and its
+    support bitmask), its parent, and ``lower``: its nearest proper ancestor
+    of strictly lower rank.  -1 stands for no node."""
+
+    __slots__ = ("bits", "keys", "ranks", "supports", "up", "lower")
+
+    def __init__(self, places: int):
+        self.bits = tuple(1 << p for p in range(places))
+        self.keys, self.ranks, self.supports, self.up, self.lower = [], [], [], [], []
+
+    def add(self, key: tuple, parent: int) -> int:
+        ranks, lower = self.ranks, self.lower
+        rank = _rank(key)
+        below = parent
+        while below >= 0 and ranks[below] >= rank:
+            below = lower[below]
+        self.keys.append(key)
+        ranks.append(rank)
+        self.supports.append(sum(compress(self.bits, key)))
+        self.up.append(parent)
+        lower.append(below)
+        return len(self.keys) - 1
+
+
+def om_accelerate(candidate: tuple, node: int, tree: _Tree) -> tuple:
+    """Set omega on places strictly increased over some dominated ancestor,
+    for a successor of ``node``: the ancestors are ``node`` and its ancestors
+    in ``tree``.
+
+    Markings carry ``inf`` for omega (``_inf_key``).  An ancestor strictly
+    below the candidate has a strictly lower rank and a support inside the
+    candidate's.  So the walk jumps from an ancestor of no lower rank to its
+    ``lower`` pointer, over ancestors that rank no lower either, and compares
+    only ancestors whose support fits.  Acceleration only raises places, so
+    the result does not depend on the ancestors' order; a lift raises the
+    rank and keeps the support, so the walk is repeated until nothing
+    changes.
     """
+    ranks, lower = tree.ranks, tree.lower
+    rank = _rank(candidate)
+    i = node
+    while i >= 0 and ranks[i] >= rank:
+        i = lower[i]
+    if i < 0:
+        return candidate
+    keys, supports, up = tree.keys, tree.supports, tree.up
+    outside = ~sum(compress(tree.bits, candidate))
     current = candidate
-    changed = True
-    while changed:
+    while True:
         changed = False
-        for anc in ancestors:
-            if anc != current and all(map(ge, current, anc)):
-                lifted = tuple(inf if x > y else x for x, y in zip(current, anc))
-                if lifted != current:
-                    current = lifted
-                    changed = True
-    return current
+        while i >= 0:
+            if ranks[i] < rank:
+                if not supports[i] & outside:
+                    anc = keys[i]
+                    if all(map(ge, current, anc)):
+                        lifted = tuple(inf if x > y else x for x, y in zip(current, anc))
+                        if lifted != current:
+                            current = lifted
+                            changed = True
+                i = up[i]
+            else:
+                i = lower[i]
+        if not changed:
+            return current
+        rank = _rank(current)
+        i = node
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _SupportIndex:
+    """Dominance tests against a numbered list of markings with ``inf`` for
+    omega, indexed by support: for each place, a bitmask of the added
+    markings holding a token or omega there.  A marking's dominators have
+    supports containing its own, and the markings it dominates have supports
+    inside it, so each test compares only those."""
+
+    __slots__ = ("keys", "places", "holders")
+
+    def __init__(self, keys: list, places: int):
+        self.keys = keys
+        self.places = range(places)
+        self.holders = [0] * places
+
+    def add(self, j: int) -> None:
+        bit = 1 << j
+        holders = self.holders
+        for p in compress(self.places, self.keys[j]):
+            holders[p] |= bit
+
+    def covered(self, key: tuple, among: int) -> bool:
+        """Some added marking of the bitmask ``among`` is >= the key."""
+        holders, keys = self.holders, self.keys
+        for p in compress(self.places, key):
+            among &= holders[p]
+        return any(all(map(ge, keys[j], key)) for j in _bits(among))
+
+    def below(self, key: tuple, among: int):
+        """The added markings of the bitmask ``among`` that are <= the key."""
+        holders, keys = self.holders, self.keys
+        for p in compress(self.places, map(not_, key)):
+            among &= ~holders[p]
+        return [j for j in _bits(among) if all(map(ge, key, keys[j]))]
 
 
 @dataclass(frozen=True)
@@ -143,23 +260,33 @@ def _accelerated_search(
     The search runs on markings with ``inf`` for omega (``_inf_key``), so a
     dominance test is one ``all(map(ge, ...))``, and returns them with OMEGA.
     Identical omega-markings are merged.  Each successor is accelerated
-    against its chain of first-discovery ancestors, walked from parent
-    pointers.  The search ends at the first node (a root included)
-    satisfying ``stop``, which is given the marking with ``inf`` for omega.
-    A new node beyond ``max_nodes`` raises BudgetExceeded, or with
-    partial=True is dropped and the search flagged incomplete.
+    against its chain of first-discovery ancestors (``om_accelerate``); the
+    chain is never rebuilt: the walk follows parent pointers and each node's
+    pointer to its nearest proper ancestor of lower rank (``_Tree``).  The
+    search ends at the first node (a root included) satisfying ``stop``,
+    which is given the marking with ``inf`` for omega.  A new node beyond
+    ``max_nodes`` raises BudgetExceeded, or with partial=True is dropped and
+    the search flagged incomplete.
 
     Given ``stop``, which must be upward closed, the search keeps only the
     cover set (MinCov, Finkel-Haddad-Khmelnitsky 2020): a successor that an
     active node covers is not added, and a node that a later node strictly
     covers is deactivated and not expanded.  Every reachable marking stays
     covered by an expanded node, so the stop predicate is met exactly when
-    the whole graph would meet it; the edges are then incomplete.
+    the whole graph would meet it; the edges are then incomplete.  The
+    active nodes are a bitmask over node indices, and a ``_SupportIndex``
+    over the nodes tests only those whose support contains the successor's
+    for covering it, and only those whose support lies inside it for being
+    covered.
     """
     search = _Search([], [], [])
-    keys, parents = [], search.parents
+    tree = _Tree(len(net.places))
+    keys, parents = tree.keys, search.parents
     steps = [(name, *net.arcs[name][1:]) for name in names]
     index = {}
+    # with stop: the nodes that no other node strictly covers, as a bitmask
+    active = 0
+    cover_set = _SupportIndex(keys, len(net.places)) if stop is not None else None
 
     def finish():
         search.nodes[:] = map(_omega_marking, keys)
@@ -167,34 +294,29 @@ def _accelerated_search(
 
     for root in map(_inf_key, roots):
         if root not in index:
-            index[root] = len(keys)
-            keys.append(root)
+            index[root] = tree.add(root, -1)
             parents.append(None)
-            if stop is not None and stop(root):
-                search.found = True
-                return finish()
-    # with stop: the nodes that no other node strictly covers
-    active = dict(enumerate(keys)) if stop is not None else {}
+            if stop is not None:
+                if stop(root):
+                    search.found = True
+                    return finish()
+                active |= 1 << index[root]
+                cover_set.add(index[root])
     frontier = deque(range(len(keys)))
     while frontier:
         i = frontier.popleft()
-        if stop is not None and i not in active:
+        if stop is not None and not active >> i & 1:
             continue
         node = keys[i]
-        chain = [node]
-        step = parents[i]
-        while step is not None:
-            chain.append(keys[step[0]])
-            step = parents[step[0]]
         for name, pre, post in steps:
             succ = om_fire(node, pre, post)
             if succ is None:
                 continue
-            accel = om_accelerate(succ, chain)
+            accel = om_accelerate(succ, i, tree)
             target = index.get(accel)
             if target is None:
                 if stop is not None:
-                    if any(all(map(ge, k, accel)) for k in active.values()):
+                    if cover_set.covered(accel, active):
                         continue
                     if stop(accel):
                         search.found = True
@@ -204,14 +326,14 @@ def _accelerated_search(
                         raise BudgetExceeded(budget_kind, max_nodes)
                     search.complete = False
                     continue
-                target = index[accel] = len(keys)
-                keys.append(accel)
+                target = index[accel] = tree.add(accel, i)
                 parents.append((i, name, accel != succ))
                 frontier.append(target)
                 if stop is not None:
-                    for j in [j for j, k in active.items() if all(map(ge, accel, k))]:
-                        del active[j]
-                    active[target] = accel
+                    for j in cover_set.below(accel, active):
+                        active &= ~(1 << j)
+                    active |= 1 << target
+                    cover_set.add(target)
             search.edges.append((i, name, target))
     return finish()
 

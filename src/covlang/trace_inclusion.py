@@ -7,19 +7,22 @@ off with acceleration, so silent pumps become omega and the tree stays finite;
 nodes dominating an ancestor with the same automaton component are pruned.
 The silent closure is the accelerated search of ``reach``, restricted to
 silent transitions and started from every distinct marking one letter reaches.
-Its antichain is computed in one pass: markings in descending order of omega
-count and token sum, each compared only with kept markings whose support
-contains its own.  ``traces_included`` and ``regular_included_in_lang`` share
-one search; the latter's end-lettered automaton is a step function over the
-given automaton, not a copy.  A successor from which no letter steps, such as
-the end-letter sink, is a dead end: it only needs its letter to be enabled,
-and no closure is built.
+Its antichain is computed in one pass: markings in descending order of rank
+(omega count, then finite token sum), each compared only with kept markings
+of strictly higher rank whose support contains its own, found through one
+bitmask per place of the kept markings holding a token or omega there.
+``traces_included`` and ``regular_included_in_lang`` share one search; the
+latter's end-lettered automaton is a step function over the given automaton,
+not a copy.  A successor from which no letter steps, such as the end-letter
+sink, is a dead end: it only needs its letter to be enabled, and no closure is
+built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .closures import dc_fsa, uc_fsa
 from .errors import BudgetExceeded
@@ -31,49 +34,45 @@ from .nets import (
     PetriNet,
     append_final_letter,
 )
-from .reach import OMEGA, _accelerated_search, om_fire, om_geq
-
-
-def _support(m) -> int:
-    """Bitmask of the places holding a token or omega."""
-    mask = 0
-    for i, v in enumerate(m):
-        if v is OMEGA or v:
-            mask |= 1 << i
-    return mask
-
-
-def _rank(m) -> tuple:
-    """(omega count, finite token sum): a strict dominator ranks higher."""
-    omegas = total = 0
-    for v in m:
-        if v is OMEGA:
-            omegas += 1
-        else:
-            total += v
-    return omegas, total
+from .reach import (
+    _accelerated_search,
+    _inf_key,
+    _rank,
+    _SupportIndex,
+    om_fire,
+    om_geq,
+)
 
 
 def _maximal(markings) -> tuple:
     """Antichain of maximal elements under the omega-extended order, sorted
     by repr.
 
-    Distinct markings are visited by descending rank, so every strict
-    dominator of a marking is visited, and kept or dominated itself, before
-    it; a marking is dropped when some kept one covers it and never removed
-    later.  Kept markings are grouped by support, and only groups whose
-    support contains the candidate's are compared.
+    Distinct markings are visited by descending rank (``reach._rank``), so
+    every strict dominator of a marking is visited, and kept or dominated
+    itself, before it; a marking is dropped when some kept one covers it and
+    never removed later.  The kept markings are indexed by support
+    (``reach._SupportIndex``), and a marking is compared only with kept
+    markings of strictly higher rank whose support contains its own.
     """
-    groups = {}
-    kept = []
-    for m in sorted(set(markings), key=_rank, reverse=True):
-        support = _support(m)
-        if any(
-            mask & support == support and any(om_geq(k, m) for k in group)
-            for mask, group in groups.items()
-        ):
+    distinct = set(markings)
+    if len(distinct) < 2:
+        return tuple(distinct)
+    keyed = sorted(
+        ((_rank(key), key, m) for m in distinct for key in [_inf_key(m)]),
+        key=itemgetter(0),
+        reverse=True,
+    )
+    kept_keys, kept = [], []
+    index = _SupportIndex(kept_keys, len(keyed[0][1]))
+    higher, last = 0, None  # kept markings of strictly higher rank
+    for rank, key, m in keyed:
+        if rank != last:
+            higher, last = (1 << len(kept)) - 1, rank
+        if index.covered(key, higher):
             continue
-        groups.setdefault(support, []).append(m)
+        kept_keys.append(key)
+        index.add(len(kept))
         kept.append(m)
     return tuple(sorted(kept, key=repr))
 

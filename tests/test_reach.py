@@ -1,12 +1,17 @@
 import hashlib
 import random
+from collections import deque
+from math import inf
+from operator import ge
 
 import pytest
 
 from corpus import random_fsa, random_net, random_product
+from covlang import reach
 from covlang.errors import AlphabetMismatch, BudgetExceeded
 from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 from covlang.nets import (
+    EPSILON,
     Marking,
     NetInstance,
     PetriNet,
@@ -16,17 +21,25 @@ from covlang.nets import (
     sync_with_fsa,
 )
 from covlang.sre import default_order
-from covlang.sre_inclusion import dc_unboundedness_system
+from covlang.sre_inclusion import dc_unboundedness_system, sre_in_dc_pn
+from covlang.textio import parse_sre
 from covlang.reach import (
     OMEGA,
     UpwardClosedSet,
+    _accelerated_search,
+    _inf_key,
+    _omega_marking,
+    _Search,
     _semiflows,
+    _Tree,
     brute_force_language,
     coverable,
     km_graph,
     longest_run_length,
     member,
+    om_accelerate,
     om_covers_marking,
+    om_fire,
     simultaneously_unbounded,
 )
 
@@ -215,6 +228,204 @@ class TestKmGolden:
             graph = km_graph(inst.net, inst.initial, max_nodes=budget, partial=True)
             digest.update(repr((graph.nodes, graph.edges, graph.complete)).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+def _om_accelerate_reference(candidate, ancestors):
+    """Acceleration against every ancestor of the chain, until nothing changes."""
+    current = candidate
+    changed = True
+    while changed:
+        changed = False
+        for anc in ancestors:
+            if anc != current and all(map(ge, current, anc)):
+                lifted = tuple(inf if x > y else x for x, y in zip(current, anc))
+                if lifted != current:
+                    current = lifted
+                    changed = True
+    return current
+
+
+def _accelerated_search_reference(
+    net, roots, names, max_nodes, budget_kind, stop=None, partial=False
+):
+    """The accelerated search with no index: each pop rebuilds its ancestor
+    chain from parent pointers, every successor is compared with the whole
+    chain, and the cover set is scanned in full."""
+    search = _Search([], [], [])
+    keys, parents = [], search.parents
+    steps = [(name, *net.arcs[name][1:]) for name in names]
+    index = {}
+
+    def finish():
+        search.nodes[:] = map(_omega_marking, keys)
+        return search
+
+    for root in map(_inf_key, roots):
+        if root not in index:
+            index[root] = len(keys)
+            keys.append(root)
+            parents.append(None)
+            if stop is not None and stop(root):
+                search.found = True
+                return finish()
+    active = dict(enumerate(keys)) if stop is not None else {}
+    frontier = deque(range(len(keys)))
+    while frontier:
+        i = frontier.popleft()
+        if stop is not None and i not in active:
+            continue
+        node = keys[i]
+        chain = [node]
+        step = parents[i]
+        while step is not None:
+            chain.append(keys[step[0]])
+            step = parents[step[0]]
+        for name, pre, post in steps:
+            succ = om_fire(node, pre, post)
+            if succ is None:
+                continue
+            accel = _om_accelerate_reference(succ, chain)
+            target = index.get(accel)
+            if target is None:
+                if stop is not None:
+                    if any(all(map(ge, k, accel)) for k in active.values()):
+                        continue
+                    if stop(accel):
+                        search.found = True
+                        return finish()
+                if len(keys) >= max_nodes:
+                    if not partial:
+                        raise BudgetExceeded(budget_kind, max_nodes)
+                    search.complete = False
+                    continue
+                target = index[accel] = len(keys)
+                keys.append(accel)
+                parents.append((i, name, accel != succ))
+                frontier.append(target)
+                if stop is not None:
+                    for j in [j for j, k in active.items() if all(map(ge, accel, k))]:
+                        del active[j]
+                    active[target] = accel
+            search.edges.append((i, name, target))
+    return finish()
+
+
+def _outcome(search_fn, *args, **kwargs):
+    try:
+        search = search_fn(*args, **kwargs)
+    except BudgetExceeded:
+        return "budget"
+    return search.nodes, search.parents, search.edges, search.complete, search.found
+
+
+class TestIndexedSearch:
+    """The rank/support-indexed search against the full chain walk."""
+
+    def test_matches_the_chain_walk_on_seeded_nets(self):
+        rng = random.Random(2029)
+        seen = {
+            "omega": 0, "found": 0, "unfound": 0, "budget": 0, "incomplete": 0,
+            "several roots": 0, "ten nodes or more": 0,
+        }
+        for i in range(2_100):
+            inst = random_net(
+                rng, max_places=4, max_transitions=5, max_weight=3, bpp=i % 2 == 0,
+                eps_ratio=0.5,
+            )
+            net = inst.net
+            names = [t.name for t in net.transitions]
+            roots = [tuple(rng.randint(0, 3) for _ in net.places)]
+            stop = None
+            mode = i % 3
+            if mode == 1:  # silent transitions only, from several roots
+                names = [t.name for t in net.transitions if t.label == EPSILON]
+                roots.append(tuple(inst.final.counts))
+                roots.append(tuple(rng.randint(0, 3) for _ in net.places))
+            elif mode == 2:  # the cover set behind simultaneously_unbounded
+                targets = rng.sample(range(len(net.places)), rng.randint(1, len(net.places)))
+
+                def stop(node, targets=targets):
+                    return all(node[t] == inf for t in targets)
+
+            budget = rng.choice((4, 400, 400))
+            partial = rng.random() < 0.5
+            args = (net, roots, names, budget, "nodes")
+            expected = _outcome(
+                _accelerated_search_reference, *args, stop=stop, partial=partial
+            )
+            got = _outcome(_accelerated_search, *args, stop=stop, partial=partial)
+            assert got == expected, (inst, mode)
+            if expected == "budget":
+                seen["budget"] += 1
+                continue
+            nodes, parents, _edges, complete, found = expected
+            seen["incomplete"] += not complete
+            seen["ten nodes or more"] += len(nodes) >= 10
+            seen["omega"] += any(OMEGA in node for node in nodes)
+            seen["several roots"] += parents.count(None) > 1
+            if stop is not None:
+                seen["found" if found else "unfound"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_a_lift_reopens_ancestors_of_the_lower_pre_lift_rank(self):
+        # (0, 100) ranks above the successor (1, 5), so the walk skips it;
+        # the lift against (1, 4) makes (1, omega), which (0, 100) lies below
+        tree = _Tree(2)
+        root = tree.add((0, 100), -1)
+        node = tree.add((1, 4), root)
+        assert tree.lower[node] == -1
+        assert om_accelerate((1, 5), node, tree) == (inf, inf)
+        assert _om_accelerate_reference((1, 5), [(1, 4), (0, 100)]) == (inf, inf)
+
+        net = PetriNet(
+            ("a",),
+            ("x", "y"),
+            (
+                Transition.make("t1", "a", {"y": 96}, {"x": 1}),
+                Transition.make("t2", "a", {"x": 1}, {"x": 1, "y": 1}),
+            ),
+        )
+        graph = km_graph(net, Marking.of(net, {"y": 100}))
+        assert graph.nodes == ((0, 100), (1, 4), (OMEGA, OMEGA))
+
+    def test_bpp_power_compares_a_bounded_number_of_ancestors(self, monkeypatch):
+        # the Karp-Miller graph of bpp-power(n) is one chain of 2^n + 2
+        # nodes; the walk reads the rank of each ancestor it visits, once or
+        # twice, and a walk over the whole chain would read 2^(n-1) on average
+        visits = {"ranks": 0, "successors": 0}
+        walking = [False]
+
+        class CountedRanks(list):
+            def __getitem__(self, i):
+                visits["ranks"] += walking[0]
+                return super().__getitem__(i)
+
+        class CountedTree(_Tree):
+            def __init__(self, places):
+                super().__init__(places)
+                self.ranks = CountedRanks()
+
+        accelerate = reach.om_accelerate
+
+        def counted_accelerate(candidate, node, tree):
+            visits["successors"] += 1
+            walking[0] = True
+            try:
+                return accelerate(candidate, node, tree)
+            finally:
+                walking[0] = False
+
+        monkeypatch.setattr(reach, "_Tree", CountedTree)
+        monkeypatch.setattr(reach, "om_accelerate", counted_accelerate)
+        inst = bpp_power_instance(10)
+        graph = km_graph(inst.net, inst.initial)
+        assert len(graph.nodes) == 2**10 + 2
+        assert visits["successors"] == 2**10 + 1
+        assert visits["ranks"] <= 4 * visits["successors"]
+
+    def test_bpp_power_12_star_fails(self):
+        verdict = sre_in_dc_pn(parse_sre("{a}*"), bpp_power_instance(12))
+        assert verdict.answer == "fails"
 
 
 class TestSuppn:

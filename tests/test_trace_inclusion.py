@@ -17,7 +17,16 @@ from covlang.nets import (
     append_final_letter,
     fire,
 )
-from covlang.reach import OMEGA, _inf_key, member, om_accelerate, om_fire, om_geq
+from covlang.reach import (
+    OMEGA,
+    _inf_key,
+    _rank,
+    _Tree,
+    member,
+    om_accelerate,
+    om_fire,
+    om_geq,
+)
 from covlang.trace_inclusion import (
     _maximal,
     is_closed,
@@ -137,6 +146,10 @@ def _maximal_reference(markings):
     return tuple(sorted(result, key=repr))
 
 
+def _held(m):
+    return {i for i, v in enumerate(m) if v is OMEGA or v}
+
+
 class TestMaximal:
     def test_matches_quadratic_reference(self):
         rng = random.Random(17)
@@ -149,6 +162,37 @@ class TestMaximal:
             ]
             markings = [rng.choice(pool) for _ in range(rng.randint(0, 16))]
             assert _maximal(markings) == _maximal_reference(markings), markings
+
+    def test_matches_quadratic_reference_on_ties_in_rank_and_support(self):
+        # markings that permute one multiset of values tie in rank, and
+        # markings that move tokens among the same places tie in support
+        rng = random.Random(19)
+        rank_ties = support_ties = 0
+        for _ in range(2_000):
+            places = rng.randint(2, 5)
+            base = [rng.choice((0, 1, 1, 2, OMEGA)) for _ in range(places)]
+            pool = []
+            for _ in range(rng.randint(2, 10)):
+                m = base[:]
+                if rng.random() < 0.5:
+                    rng.shuffle(m)
+                else:
+                    held = [i for i, v in enumerate(m) if v is not OMEGA and v]
+                    if len(held) > 1:
+                        j, k = rng.sample(held, 2)
+                        if m[j] > 1:  # one token moves: same rank and support
+                            m[j] -= 1
+                            m[k] += 1
+                        else:
+                            m[k] += 1
+                pool.append(tuple(m))
+            markings = [rng.choice(pool) for _ in range(rng.randint(1, 16))]
+            distinct = set(markings)
+            pairs = [(a, b) for a in distinct for b in distinct if a != b]
+            rank_ties += sum(_rank(_inf_key(a)) == _rank(_inf_key(b)) for a, b in pairs)
+            support_ties += sum(_held(a) == _held(b) for a, b in pairs)
+            assert _maximal(markings) == _maximal_reference(markings), markings
+        assert min(rank_ties, support_ties) > 3_000
 
     def test_result_is_a_sorted_antichain(self):
         result = _maximal([(1, OMEGA), (2, 3), (1, 3), (OMEGA, 0), (2, 3)])
@@ -201,15 +245,16 @@ class TestSilentClosure:
             for node, (source, fired, flag) in certs.items():
                 assert source in roots
                 # acceleration works on markings with inf for omega
-                path = [_inf_key(source)]
+                path = _Tree(len(inst.net.places))
+                at = path.add(_inf_key(source), -1)
                 last = False
                 for name in fired:
                     _label, pre, post = inst.net.arcs[name]
-                    succ = om_fire(path[-1], pre, post)
+                    succ = om_fire(path.keys[at], pre, post)
                     assert succ is not None
-                    path.append(om_accelerate(succ, path))
-                    last = path[-1] != succ
-                assert path[-1] == _inf_key(node)
+                    at = path.add(om_accelerate(succ, at, path), at)
+                    last = path.keys[at] != succ
+                assert path.keys[at] == _inf_key(node)
                 assert last == flag
                 replayed += 1
                 accelerated += flag
