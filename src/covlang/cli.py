@@ -267,9 +267,9 @@ def _cmd_km(args) -> int:
     graph = km_graph(inst.net, inst.initial, max_nodes=args.budget_nodes)
     for i, node in enumerate(graph.nodes):
         rendered = ",".join(
-            f"{p}:{'w' if v is OMEGA else v}"
+            f"{p}:{'w' if v == OMEGA else v}"
             for p, v in zip(inst.net.places, node)
-            if v is OMEGA or v != 0
+            if v
         )
         print(f"node {i} {rendered or '-'}")
     for src, name, dst in graph.edges:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import BudgetExceeded, NotBpp
 from .fsa import Fsa, saturate_up
@@ -332,7 +334,7 @@ def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
     threshold = pump_threshold(inst)
     arcs = tuple(net.arcs.values())
     final = [(i, c) for i, c in enumerate(inst.final.counts) if c]
-    clamp = lambda v: OMEGA if v is not OMEGA and v >= threshold else v
+    clamp = lambda v: OMEGA if v >= threshold else v
 
     def successors(q):
         # q's counts are omega or below the threshold; firing raises post's only
@@ -340,7 +342,7 @@ def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
             target = om_fire(q, pre, post)
             if target is not None:
                 for i, _w in post:
-                    if target[i] is not OMEGA and target[i] >= threshold:
+                    if target[i] >= threshold:
                         target = tuple(map(clamp, target))
                         break
                 yield label, target
@@ -348,7 +350,7 @@ def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
 
     def accepting(q):
         for i, c in final:
-            if q[i] is not OMEGA and q[i] < c:
+            if q[i] < c:
                 return False
         return True
 
@@ -370,12 +372,15 @@ def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:
     downward closed as read, so ``sre_inclusion.sre_in_dc_pn`` checks every
     product of an expression on this one automaton, on every net.
     """
+    arcs = inst.net.arcs
     graph = km_graph(inst.net, inst.initial, max_nodes=max_nodes, partial=True)
     exactness = "exact" if graph.complete else "partial"
-    table = {q: [] for q in range(len(graph.nodes))}
-    for src, name, dst in graph.edges:
-        table[src] += [(inst.net.transition(name).label, dst), (EPSILON, dst)]
-    table = {q: tuple(dict.fromkeys(edges)) for q, edges in table.items()}
+    table = dict.fromkeys(range(len(graph.nodes)), ())
+    for src, edges in groupby(graph.edges, itemgetter(0)):
+        pairs = {}
+        for _src, name, dst in edges:
+            pairs[arcs[name][0], dst] = pairs[EPSILON, dst] = None
+        table[src] = tuple(pairs)
     finals = graph.covering_nodes(inst.final)
     fsa = Fsa.from_out_edges(inst.net.alphabet, table, graph.root, finals)
     return ClosureResult(fsa, exactness)

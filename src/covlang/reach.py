@@ -2,8 +2,9 @@
 unboundedness, membership oracles, and the bounded brute-force explorer used
 as a test oracle.
 
-One accelerated search over omega-markings, run on markings with ``inf``
-for omega, serves ``km_graph`` (the whole graph), ``simultaneously_unbounded``
+Omega is ``math.inf`` (``OMEGA``) in every omega-marking, so a dominance
+test is Python's own ``>=``.  One accelerated search over omega-markings
+serves ``km_graph`` (the whole graph), ``simultaneously_unbounded``
 (keeps only the cover set and stops at the first node that is omega on every
 target place) and ``trace_inclusion.silent_closure`` (silent transitions
 only, from several roots).  Its dominance tests rest on one fact: a marking
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd, inf, isfinite
+from math import gcd, inf
 from operator import ge, not_
 
 from .errors import AlphabetMismatch, BudgetExceeded, NotEnabled
@@ -42,83 +43,51 @@ from .nets import (
 )
 
 
-class _Omega:
-    """Token count larger than every natural number."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "OMEGA"
-
-
-OMEGA = _Omega()
+#: Token count larger than every natural number: ``math.inf`` itself, so that
+#: Python's own ``>=`` orders omega-markings.
+OMEGA = inf
 
 #: An omega-marking is a tuple over int | OMEGA aligned with the net's places.
 OmegaMarking = tuple
 
 
-def om_geq(a, b) -> bool:
-    """Pointwise >= with OMEGA above every number (and equal to itself)."""
-    for x, y in zip(a, b):
-        if x is OMEGA:
-            continue
-        if y is OMEGA or x < y:
-            return False
-    return True
-
-
-def _inf_key(m: OmegaMarking) -> tuple:
-    """The marking with ``inf`` for omega, so that ``>=`` is Python's own."""
-    if OMEGA not in m:
-        return tuple(m)
-    return tuple(inf if x is OMEGA else x for x in m)
-
-
-def _omega_marking(key: tuple) -> OmegaMarking:
-    if inf not in key:
-        return key
-    return tuple(OMEGA if x == inf else x for x in key)
-
-
-def om_covers_marking(a: OmegaMarking, m: Marking) -> bool:
-    return all(x is OMEGA or x >= c for x, c in zip(a, m.counts))
-
-
 def om_fire(m: OmegaMarking, pre, post) -> OmegaMarking | None:
     """Fire a transition's arcs from ``PetriNet.arcs`` with omega treated as
-    infinity; None when not enabled.  Every omega-marking step goes through it,
-    on markings with OMEGA or with ``inf`` for omega (``_inf_key``) alike."""
+    infinity; None when not enabled.  Every omega-marking step goes through
+    it.  Omega entries are left as they are: ``inf - w`` would convert the
+    weight, an unbounded int, to a float."""
     for i, w in pre:
-        v = m[i]
-        if v is not OMEGA and v < w:
+        if m[i] < w:
             return None
     counts = list(m)
     for i, w in pre:
         v = counts[i]
-        if v is not OMEGA:
+        if v != OMEGA:
             counts[i] = v - w
     for i, w in post:
         v = counts[i]
-        if v is not OMEGA:
+        if v != OMEGA:
             counts[i] = v + w
     return tuple(counts)
 
 
-def _rank(key: tuple) -> tuple:
-    """(omega count, finite token sum) of a marking with ``inf`` for omega.
+def _rank(m: OmegaMarking) -> tuple:
+    """(omega count, finite token sum) of an omega-marking.
 
-    A marking strictly below another has a strictly lower rank."""
-    omegas = key.count(inf)
+    A marking strictly below another has a strictly lower rank.  The sum
+    skips omega rather than testing ``isfinite``, which would convert each
+    count, an unbounded int, to a float."""
+    omegas = m.count(OMEGA)
     if not omegas:
-        return 0, sum(key)
-    return omegas, sum(filter(isfinite, key))
+        return 0, sum(m)
+    return omegas, sum(filter(OMEGA.__ne__, m))
 
 
 class _Tree:
-    """Nodes of an accelerated search over a net's places, each a marking
-    with ``inf`` for omega, with the key it is compared by (its rank and its
-    support bitmask), its parent, and ``lower``: its nearest proper ancestor
-    of strictly lower rank.  -1 stands for no node."""
+    """Nodes of an accelerated search over a net's places, each an
+    omega-marking (``keys``) with the key it is compared by (its rank and
+    its support bitmask), its parent, and ``lower``: its nearest proper
+    ancestor of strictly lower rank.  -1 stands for no node."""
 
     __slots__ = ("bits", "keys", "ranks", "supports", "up", "lower")
 
@@ -145,11 +114,10 @@ def om_accelerate(candidate: tuple, node: int, tree: _Tree) -> tuple:
     for a successor of ``node``: the ancestors are ``node`` and its ancestors
     in ``tree``.
 
-    Markings carry ``inf`` for omega (``_inf_key``).  An ancestor strictly
-    below the candidate has a strictly lower rank and a support inside the
-    candidate's.  So the walk jumps from an ancestor of no lower rank to its
-    ``lower`` pointer, over ancestors that rank no lower either, and compares
-    only ancestors whose support fits.  Acceleration only raises places, so
+    An ancestor strictly below the candidate has a strictly lower rank and a
+    support inside the candidate's.  So the walk jumps from an ancestor of no
+    lower rank to its ``lower`` pointer, over ancestors that rank no lower
+    either, and compares only ancestors whose support fits.  Acceleration only raises places, so
     the result does not depend on the ancestors' order; a lift raises the
     rank and keeps the support, so the walk is repeated until nothing
     changes.
@@ -171,7 +139,7 @@ def om_accelerate(candidate: tuple, node: int, tree: _Tree) -> tuple:
                 if not supports[i] & outside:
                     anc = keys[i]
                     if all(map(ge, current, anc)):
-                        lifted = tuple(inf if x > y else x for x, y in zip(current, anc))
+                        lifted = tuple(OMEGA if x > y else x for x, y in zip(current, anc))
                         if lifted != current:
                             current = lifted
                             changed = True
@@ -193,11 +161,11 @@ def _bits(mask: int):
 
 
 class _SupportIndex:
-    """Dominance tests against a numbered list of markings with ``inf`` for
-    omega, indexed by support: for each place, a bitmask of the added
-    markings holding a token or omega there.  A marking's dominators have
-    supports containing its own, and the markings it dominates have supports
-    inside it, so each test compares only those."""
+    """Dominance tests against a numbered list of omega-markings, indexed by
+    support: for each place, a bitmask of the added markings holding a token
+    or omega there.  A marking's dominators have supports containing its
+    own, and the markings it dominates have supports inside it, so each test
+    compares only those."""
 
     __slots__ = ("keys", "places", "holders")
 
@@ -232,12 +200,13 @@ class KmGraph:
     """Coverability graph: omega-markings as nodes, fired transitions as edges."""
 
     nodes: tuple
-    edges: tuple  # (source-index, transition-name, target-index)
+    edges: tuple  # (source-index, transition-name, target-index), grouped by source
     root: int
     complete: bool = True
 
     def covering_nodes(self, m: Marking):
-        return [i for i, node in enumerate(self.nodes) if om_covers_marking(node, m)]
+        counts = m.counts
+        return [i for i, node in enumerate(self.nodes) if all(map(ge, node, counts))]
 
 
 @dataclass
@@ -257,14 +226,12 @@ def _accelerated_search(
     """Breadth-first Karp-Miller search from the given omega-markings, firing
     the named transitions in order.
 
-    The search runs on markings with ``inf`` for omega (``_inf_key``), so a
-    dominance test is one ``all(map(ge, ...))``, and returns them with OMEGA.
-    Identical omega-markings are merged.  Each successor is accelerated
-    against its chain of first-discovery ancestors (``om_accelerate``); the
-    chain is never rebuilt: the walk follows parent pointers and each node's
-    pointer to its nearest proper ancestor of lower rank (``_Tree``).  The
-    search ends at the first node (a root included) satisfying ``stop``,
-    which is given the marking with ``inf`` for omega.  A new node beyond
+    Identical omega-markings are merged, and a dominance test is one
+    ``all(map(ge, ...))``.  Each successor is accelerated against its chain
+    of first-discovery ancestors (``om_accelerate``); the chain is never
+    rebuilt: the walk follows parent pointers and each node's pointer to its
+    nearest proper ancestor of lower rank (``_Tree``).  The search ends at
+    the first node (a root included) satisfying ``stop``.  A new node beyond
     ``max_nodes`` raises BudgetExceeded, or with partial=True is dropped and
     the search flagged incomplete.
 
@@ -279,27 +246,22 @@ def _accelerated_search(
     for covering it, and only those whose support lies inside it for being
     covered.
     """
-    search = _Search([], [], [])
     tree = _Tree(len(net.places))
+    search = _Search(tree.keys, [], [])
     keys, parents = tree.keys, search.parents
     steps = [(name, *net.arcs[name][1:]) for name in names]
     index = {}
     # with stop: the nodes that no other node strictly covers, as a bitmask
     active = 0
     cover_set = _SupportIndex(keys, len(net.places)) if stop is not None else None
-
-    def finish():
-        search.nodes[:] = map(_omega_marking, keys)
-        return search
-
-    for root in map(_inf_key, roots):
+    for root in roots:
         if root not in index:
             index[root] = tree.add(root, -1)
             parents.append(None)
             if stop is not None:
                 if stop(root):
                     search.found = True
-                    return finish()
+                    return search
                 active |= 1 << index[root]
                 cover_set.add(index[root])
     frontier = deque(range(len(keys)))
@@ -320,7 +282,7 @@ def _accelerated_search(
                         continue
                     if stop(accel):
                         search.found = True
-                        return finish()
+                        return search
                 if len(keys) >= max_nodes:
                     if not partial:
                         raise BudgetExceeded(budget_kind, max_nodes)
@@ -335,7 +297,7 @@ def _accelerated_search(
                     active |= 1 << target
                     cover_set.add(target)
             search.edges.append((i, name, target))
-    return finish()
+    return search
 
 
 def km_graph(
@@ -368,7 +330,7 @@ def simultaneously_unbounded(
         return True
 
     def hit(node):
-        return all(node[i] == inf for i in targets)
+        return all(node[i] == OMEGA for i in targets)
 
     names = [t.name for t in net.transitions]
     return _accelerated_search(

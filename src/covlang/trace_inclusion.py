@@ -2,9 +2,12 @@
 language in a coverability language, and the is-the-language-closed deciders.
 
 The exploration pairs determinized automaton states with antichains of maximal
-omega-markings reachable on the same trace.  Silent net transitions are closed
-off with acceleration, so silent pumps become omega and the tree stays finite;
-nodes dominating an ancestor with the same automaton component are pruned.
+omega-markings reachable on the same trace.  Omega is ``math.inf``
+(``reach.OMEGA``) here as in every omega-marking, so the subsumption and
+antichain tests compare markings with Python's own ``>=``.  Silent net
+transitions are closed off with acceleration, so silent pumps become omega
+and the tree stays finite; nodes dominating an ancestor with the same
+automaton component are pruned.
 The silent closure is the accelerated search of ``reach``, restricted to
 silent transitions and started from every distinct marking one letter reaches.
 Its antichain is computed in one pass: markings in descending order of rank
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import groupby
+from operator import ge
 
 from .closures import dc_fsa, uc_fsa
 from .errors import BudgetExceeded
@@ -34,14 +38,7 @@ from .nets import (
     PetriNet,
     append_final_letter,
 )
-from .reach import (
-    _accelerated_search,
-    _inf_key,
-    _rank,
-    _SupportIndex,
-    om_fire,
-    om_geq,
-)
+from .reach import _accelerated_search, _rank, _SupportIndex, om_fire
 
 
 def _maximal(markings) -> tuple:
@@ -55,25 +52,18 @@ def _maximal(markings) -> tuple:
     (``reach._SupportIndex``), and a marking is compared only with kept
     markings of strictly higher rank whose support contains its own.
     """
-    distinct = set(markings)
-    if len(distinct) < 2:
-        return tuple(distinct)
-    keyed = sorted(
-        ((_rank(key), key, m) for m in distinct for key in [_inf_key(m)]),
-        key=itemgetter(0),
-        reverse=True,
-    )
-    kept_keys, kept = [], []
-    index = _SupportIndex(kept_keys, len(keyed[0][1]))
-    higher, last = 0, None  # kept markings of strictly higher rank
-    for rank, key, m in keyed:
-        if rank != last:
-            higher, last = (1 << len(kept)) - 1, rank
-        if index.covered(key, higher):
-            continue
-        kept_keys.append(key)
-        index.add(len(kept))
-        kept.append(m)
+    rank = {m: _rank(m) for m in markings}
+    if len(rank) < 2:
+        return tuple(rank)
+    ordered = sorted(rank, key=rank.__getitem__, reverse=True)
+    kept = []
+    index = _SupportIndex(kept, len(ordered[0]))
+    for _, same_rank in groupby(ordered, rank.__getitem__):
+        higher = (1 << len(kept)) - 1  # kept markings of strictly higher rank
+        for m in same_rank:
+            if not index.covered(m, higher):
+                kept.append(m)
+                index.add(len(kept) - 1)
     return tuple(sorted(kept, key=repr))
 
 
@@ -170,7 +160,7 @@ def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int):
                 if not s2:
                     return False, w + (x,)
                 subsumed = any(
-                    qa0 == qa2 and all(any(om_geq(m, m0_) for m in s2) for m0_ in s0)
+                    qa0 == qa2 and all(any(all(map(ge, m, m0_)) for m in s2) for m0_ in s0)
                     for qa0, s0 in ancestors
                 )
                 if subsumed:

@@ -93,7 +93,37 @@ class TestPipelines:
     def test_km(self, rackoff_doc):
         code, out, _ = run_cli(["km"], stdin_text=rackoff_doc)
         assert code == 0
-        assert any("temp:w" in line for line in out.splitlines())
+        assert out == (
+            "node 0 run:1\n"
+            "node 1 run:1,temp:w\n"
+            "node 2 stop:1\n"
+            "node 3 temp:w,stop:1\n"
+            "edge 0 rt_help 1\n"
+            "edge 0 rt_a 2\n"
+            "edge 1 rt_help 1\n"
+            "edge 1 rt_b 3\n"
+            "edge 1 rt_a 3\n"
+        )
+
+    # token counts and arc weights are unbounded ints: ones too large for a
+    # float must not meet omega arithmetic
+    HUGE = 10**400
+
+    @pytest.mark.parametrize(
+        "init, post",
+        [(f"big:{HUGE},pump:1", "pump:2"), ("pump:1", f"pump:2,big:{HUGE}")],
+        ids=["count", "weight"],
+    )
+    def test_huge_integers(self, init, post):
+        doc = (
+            "alphabet a\nplace big\nplace pump\n"
+            f"trans t label a pre pump:1 post {post}\n"
+            f"init {init}\nfinal pump:1\n"
+        )
+        code, out, _ = run_cli(["km"], stdin_text=doc)
+        assert code == 0 and "pump:w" in out
+        code, out, _ = run_cli(["sre-in", "--dir", "down", "-e", "a.a"], stdin_text=doc)
+        assert code == 0 and "holds" in out
 
     def test_reg_in(self, rackoff_doc, tmp_path):
         doc = "alphabet a b c\nstate q0 initial\nstate q1\nstate q2 final\nedge q0 a q1\nedge q1 b q2\n"

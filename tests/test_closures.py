@@ -377,14 +377,14 @@ def _reference_om_fire(net, m, name):
     counts = list(m)
     for p, w in t.pre:
         v = counts[idx[p]]
-        if v is OMEGA:
+        if v == OMEGA:
             continue
         if v < w:
             return None
         counts[idx[p]] = v - w
     for p, w in t.post:
         v = counts[idx[p]]
-        if v is not OMEGA:
+        if v != OMEGA:
             counts[idx[p]] = v + w
     return tuple(counts)
 
@@ -408,7 +408,7 @@ def _reference_explore(alphabet, start, successors, accepting, max_states, budge
 
 
 def _covers(m, final):
-    return all(v is OMEGA or v >= c for v, c in zip(m, final.counts))
+    return all(v == OMEGA or v >= c for v, c in zip(m, final.counts))
 
 
 def _reference_dc_fsa_bpp(inst, max_states):
@@ -420,7 +420,7 @@ def _reference_dc_fsa_bpp(inst, max_states):
             fired = _reference_om_fire(net, q, t.name)
             if fired is not None:
                 target = tuple(
-                    OMEGA if v is not OMEGA and v >= threshold else v for v in fired
+                    OMEGA if v != OMEGA and v >= threshold else v for v in fired
                 )
                 yield t.label, target
                 yield EPSILON, target

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from operator import ge
 
 import pytest
 
@@ -17,16 +18,7 @@ from covlang.nets import (
     append_final_letter,
     fire,
 )
-from covlang.reach import (
-    OMEGA,
-    _inf_key,
-    _rank,
-    _Tree,
-    member,
-    om_accelerate,
-    om_fire,
-    om_geq,
-)
+from covlang.reach import OMEGA, _rank, _Tree, member, om_accelerate, om_fire
 from covlang.trace_inclusion import (
     _maximal,
     is_closed,
@@ -139,15 +131,15 @@ def _maximal_reference(markings):
     """Quadratic antichain: insert each marking, evicting what it dominates."""
     result = []
     for m in markings:
-        if any(om_geq(other, m) for other in result):
+        if any(all(map(ge, other, m)) for other in result):
             continue
-        result = [other for other in result if not om_geq(m, other)]
+        result = [other for other in result if not all(map(ge, m, other))]
         result.append(m)
     return tuple(sorted(result, key=repr))
 
 
 def _held(m):
-    return {i for i, v in enumerate(m) if v is OMEGA or v}
+    return {i for i, v in enumerate(m) if v}
 
 
 class TestMaximal:
@@ -177,7 +169,7 @@ class TestMaximal:
                 if rng.random() < 0.5:
                     rng.shuffle(m)
                 else:
-                    held = [i for i, v in enumerate(m) if v is not OMEGA and v]
+                    held = [i for i, v in enumerate(m) if v != OMEGA and v]
                     if len(held) > 1:
                         j, k = rng.sample(held, 2)
                         if m[j] > 1:  # one token moves: same rank and support
@@ -189,7 +181,7 @@ class TestMaximal:
             markings = [rng.choice(pool) for _ in range(rng.randint(1, 16))]
             distinct = set(markings)
             pairs = [(a, b) for a in distinct for b in distinct if a != b]
-            rank_ties += sum(_rank(_inf_key(a)) == _rank(_inf_key(b)) for a, b in pairs)
+            rank_ties += sum(_rank(a) == _rank(b) for a, b in pairs)
             support_ties += sum(_held(a) == _held(b) for a, b in pairs)
             assert _maximal(markings) == _maximal_reference(markings), markings
         assert min(rank_ties, support_ties) > 3_000
@@ -221,12 +213,12 @@ class TestSilentClosure:
             start = tuple(inst.initial.counts)
             closure, _certs = silent_closure(net, [start])
             for target in closure:
-                omegas = [i for i, v in enumerate(target) if v is OMEGA]
+                omegas = [i for i, v in enumerate(target) if v == OMEGA]
                 if not omegas:
                     continue
                 for demand in (2, 4, 16):
                     concrete = tuple(
-                        demand if v is OMEGA else v for v in target
+                        demand if v == OMEGA else v for v in target
                     )
                     assert _silent_run_reaches(net, start, concrete), (
                         net,
@@ -244,9 +236,8 @@ class TestSilentClosure:
             _closure, certs = silent_closure(inst.net, roots)
             for node, (source, fired, flag) in certs.items():
                 assert source in roots
-                # acceleration works on markings with inf for omega
                 path = _Tree(len(inst.net.places))
-                at = path.add(_inf_key(source), -1)
+                at = path.add(source, -1)
                 last = False
                 for name in fired:
                     _label, pre, post = inst.net.arcs[name]
@@ -254,7 +245,7 @@ class TestSilentClosure:
                     assert succ is not None
                     at = path.add(om_accelerate(succ, at, path), at)
                     last = path.keys[at] != succ
-                assert path.keys[at] == _inf_key(node)
+                assert path.keys[at] == node
                 assert last == flag
                 replayed += 1
                 accelerated += flag
