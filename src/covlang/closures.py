@@ -14,13 +14,14 @@ One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
 ``reachability_fsa`` over markings within k steps and ``dc_fsa_bpp`` over
 cutoff-abstracted markings; ``dc_fsa_pn`` reads the accelerated search's graph
 (``km_graph``).  The explorer numbers the states 0, 1, ... in the order it
-discovers them, and the automaton keeps only the numbers, not the markings.
+discovers them and hands the automaton its numbered table of edges; the
+automaton keeps only the numbers, not the markings, and no transition triples.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -296,7 +297,9 @@ def uc_fsa(
     basis = []
     while True:
         inside = _basis_dfa(inst.net.alphabet, basis, max_states)
-        outside = replace(inside, finals=inside.states - inside.finals)
+        outside = Fsa.from_out_edges(
+            inside.alphabet, inside.out_edges(), inside.initial, inside.states - inside.finals
+        )
         synced = sync_with_fsa(inst.net, outside, "full")
         found, run = coverable(synced.make_instance(inst), max_states)
         if not found:

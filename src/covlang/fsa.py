@@ -1,5 +1,12 @@
 """Finite automata with silent edges, closure saturation, and exact decisions.
 
+An automaton keeps its edges as a table from each state to its (label,
+target) pairs (``Fsa.out_edges``).  The explorers of ``closures`` hand over
+their numbered table (``Fsa.from_out_edges``), and the decisions, trimming
+and determinization here read the table.  The frozenset of triples in
+``Fsa.transitions`` is built only when something reads it, such as printing
+or synchronizing with a net.
+
 Decision queries (emptiness, membership, inclusion, equivalence) run an
 on-the-fly subset construction with memoized steps and epsilon closures over
 frozensets; they visit few subsets.  Counterexamples are
@@ -15,6 +22,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import itemgetter
 
 from .errors import AlphabetMismatch
 from .nets import EPSILON, Word
@@ -22,6 +31,16 @@ from .nets import EPSILON, Word
 
 @dataclass(frozen=True)
 class Fsa:
+    """A finite automaton whose edges carry a letter or EPSILON.
+
+    The edges come in two forms, each built from the other on first read:
+    ``transitions``, the frozenset of (state, label, target) triples, and
+    ``out_edges()``, the table from each state to its (label, target) pairs.
+    The constructor and ``make_fsa`` take the triples; ``from_out_edges``
+    takes the table and builds no triple until something reads
+    ``transitions``.  Equality, hashing and ``repr`` read the triples.
+    """
+
     alphabet: tuple[str, ...]
     states: frozenset
     transitions: frozenset  # triples (state, letter-or-EPSILON, state)
@@ -34,25 +53,48 @@ class Fsa:
         if not self.finals <= self.states:
             raise ValueError("final states not declared")
         letters = set(self.alphabet)
-        for q, a, q2 in self.transitions:
-            if q not in self.states or q2 not in self.states:
-                raise ValueError("transition endpoint not declared")
-            if a != EPSILON and a not in letters:
-                raise ValueError(f"undeclared letter {a!r}")
+        table = self.__dict__.get("_out")
+        if table is None:
+            for q, a, q2 in self.transitions:
+                if q not in self.states or q2 not in self.states:
+                    raise ValueError("transition endpoint not declared")
+                if a != EPSILON and a not in letters:
+                    raise ValueError(f"undeclared letter {a!r}")
+            return
+        # a table's sources are its keys, the states themselves
+        if not self.states.issuperset(map(itemgetter(1), chain.from_iterable(table.values()))):
+            raise ValueError("transition endpoint not declared")
+        labels = set(map(itemgetter(0), chain.from_iterable(table.values())))
+        labels.discard(EPSILON)
+        undeclared = sorted(labels - letters)
+        if undeclared:
+            raise ValueError(f"undeclared letter {undeclared[0]!r}")
+
+    def __getattr__(self, name):
+        """Only reached for an attribute that is not set: the triples of an
+        automaton built by ``from_out_edges``, made and kept on first read."""
+        table = self.__dict__.get("_out")
+        if name != "transitions" or table is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        triples = frozenset((q, x, q2) for q, edges in table.items() for x, q2 in edges)
+        object.__setattr__(self, "transitions", triples)
+        return triples
 
     @classmethod
     def from_out_edges(cls, alphabet, table: dict, initial, finals) -> Fsa:
         """Automaton whose states are the keys of ``table``, a dict from each
-        state to a tuple of its distinct (label, target) pairs; the table
-        becomes the ``out_edges`` cache, so it is not rebuilt."""
-        a = cls(
-            tuple(alphabet),
-            frozenset(table),
-            frozenset((q, x, q2) for q, edges in table.items() for x, q2 in edges),
-            initial,
-            frozenset(finals),
+        state to a tuple of its distinct (label, target) pairs.  The table
+        becomes the ``out_edges`` cache and is validated in place; the
+        triples of ``transitions`` are built only when something reads them."""
+        a = cls.__new__(cls)
+        a.__dict__.update(
+            alphabet=tuple(alphabet),
+            states=frozenset(table),
+            initial=initial,
+            finals=frozenset(finals),
+            _out=table,
         )
-        object.__setattr__(a, "_out", table)
+        a.__post_init__()
         return a
 
     def out_edges(self):
@@ -284,16 +326,19 @@ def determinize(a: Fsa):
     """
     letters = sorted(a.alphabet)
     index = {q: i for i, q in enumerate(a.states)}
+    out = [(index[q], edges) for q, edges in a.out_edges().items()]
     silent = [[] for _ in index]
-    for q, x, q2 in a.transitions:
-        if x == EPSILON:
-            silent[index[q]].append(index[q2])
+    for i, edges in out:
+        for x, q2 in edges:
+            if x == EPSILON:
+                silent[i].append(index[q2])
     closure = _silent_closures(silent)
     column = {x: c for c, x in enumerate(letters)}
     rows = [[0] * len(index) for _ in letters]  # closed successor masks
-    for q, x, q2 in a.transitions:
-        if x != EPSILON:
-            rows[column[x]][index[q]] |= closure[index[q2]]
+    for i, edges in out:
+        for x, q2 in edges:
+            if x != EPSILON:
+                rows[column[x]][i] |= closure[index[q2]]
     width = (len(index) + 7) // 8
     memos = [{} for _ in letters]
     start = closure[index[a.initial]]
@@ -401,9 +446,27 @@ def enumerate_words(a: Fsa, k: int) -> set:
 
 def _coaccessible(a: Fsa) -> frozenset:
     """States from which a final state is reachable: one backward search
-    over ``out_edges``."""
+    over ``out_edges``.  A table numbered 0..n-1 in order, as the explorers
+    build it, keeps its predecessors and marks in lists."""
+    out = a.out_edges()
+    n = len(out)
+    if n == len(a.states) and list(out) == list(range(n)):
+        preds = [[] for _ in range(n)]
+        for q, edges in enumerate(out.values()):
+            for _x, q2 in edges:
+                preds[q2].append(q)
+        alive = [False] * n
+        stack = list(a.finals)
+        for q in stack:
+            alive[q] = True
+        while stack:
+            for q0 in preds[stack.pop()]:
+                if not alive[q0]:
+                    alive[q0] = True
+                    stack.append(q0)
+        return frozenset(compress(range(n), alive))
     rev = {}
-    for q, edges in a.out_edges().items():
+    for q, edges in out.items():
         for _x, q2 in edges:
             rev.setdefault(q2, []).append(q)
     alive = set(a.finals)
@@ -424,5 +487,6 @@ def trim_coaccessible(a: Fsa) -> Fsa | None:
     alive = _coaccessible(a)
     if a.initial not in alive:
         return None
-    trans = {(q, x, q2) for q, x, q2 in a.transitions if q in alive and q2 in alive}
-    return Fsa(a.alphabet, alive, frozenset(trans), a.initial, a.finals)
+    out = a.out_edges()
+    table = {q: tuple((x, q2) for x, q2 in out.get(q, ()) if q2 in alive) for q in alive}
+    return Fsa.from_out_edges(a.alphabet, table, a.initial, a.finals)

@@ -26,7 +26,7 @@ BudgetExceeded past ``max_nodes`` inserted markings.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, inf
 from operator import ge, not_
@@ -87,17 +87,22 @@ class _Tree:
     """Nodes of an accelerated search over a net's places, each an
     omega-marking (``keys``) with the key it is compared by (its rank and
     its support bitmask), its parent, and ``lower``: its nearest proper
-    ancestor of strictly lower rank.  -1 stands for no node."""
+    ancestor of strictly lower rank.  -1 stands for no node.
+    ``accelerated_rank`` is the rank of the marking ``om_accelerate``
+    returned last, which ``add`` takes when handed it rather than computing
+    it again."""
 
-    __slots__ = ("bits", "keys", "ranks", "supports", "up", "lower")
+    __slots__ = ("bits", "keys", "ranks", "supports", "up", "lower", "accelerated_rank")
 
     def __init__(self, places: int):
         self.bits = tuple(1 << p for p in range(places))
         self.keys, self.ranks, self.supports, self.up, self.lower = [], [], [], [], []
+        self.accelerated_rank = None
 
-    def add(self, key: tuple, parent: int) -> int:
+    def add(self, key: tuple, parent: int, rank: tuple | None = None) -> int:
         ranks, lower = self.ranks, self.lower
-        rank = _rank(key)
+        if rank is None:
+            rank = _rank(key)
         below = parent
         while below >= 0 and ranks[below] >= rank:
             below = lower[below]
@@ -120,10 +125,10 @@ def om_accelerate(candidate: tuple, node: int, tree: _Tree) -> tuple:
     either, and compares only ancestors whose support fits.  Acceleration only raises places, so
     the result does not depend on the ancestors' order; a lift raises the
     rank and keeps the support, so the walk is repeated until nothing
-    changes.
+    changes.  The rank of the result is left in ``tree.accelerated_rank``.
     """
     ranks, lower = tree.ranks, tree.lower
-    rank = _rank(candidate)
+    rank = tree.accelerated_rank = _rank(candidate)
     i = node
     while i >= 0 and ranks[i] >= rank:
         i = lower[i]
@@ -148,7 +153,7 @@ def om_accelerate(candidate: tuple, node: int, tree: _Tree) -> tuple:
                 i = lower[i]
         if not changed:
             return current
-        rank = _rank(current)
+        rank = tree.accelerated_rank = _rank(current)
         i = node
 
 
@@ -218,6 +223,7 @@ class _Search:
     edges: list  # (source-index, transition-name, target-index)
     complete: bool = True
     found: bool = False  # stopped at a node satisfying the stop predicate
+    ranks: list = field(default_factory=list)  # each node's ``_rank``
 
 
 def _accelerated_search(
@@ -245,11 +251,17 @@ def _accelerated_search(
     over the nodes tests only those whose support contains the successor's
     for covering it, and only those whose support lies inside it for being
     covered.
+
+    A node fires only the transitions whose pre-places (arcs of weight > 0)
+    all lie in its support: the others are disabled.  Those transitions, in
+    the order given, are listed once per support.
     """
     tree = _Tree(len(net.places))
-    search = _Search(tree.keys, [], [])
-    keys, parents = tree.keys, search.parents
+    search = _Search(tree.keys, [], [], ranks=tree.ranks)
+    keys, parents, supports = tree.keys, search.parents, tree.supports
     steps = [(name, *net.arcs[name][1:]) for name in names]
+    needs = [sum({1 << i for i, w in pre if w > 0}) for _name, pre, _post in steps]
+    fireable = {}  # support -> the steps whose pre-places lie in it
     index = {}
     # with stop: the nodes that no other node strictly covers, as a bitmask
     active = 0
@@ -270,7 +282,13 @@ def _accelerated_search(
         if stop is not None and not active >> i & 1:
             continue
         node = keys[i]
-        for name, pre, post in steps:
+        support = supports[i]
+        candidates = fireable.get(support)
+        if candidates is None:
+            candidates = fireable[support] = [
+                step for step, need in zip(steps, needs) if not need & ~support
+            ]
+        for name, pre, post in candidates:
             succ = om_fire(node, pre, post)
             if succ is None:
                 continue
@@ -288,7 +306,7 @@ def _accelerated_search(
                         raise BudgetExceeded(budget_kind, max_nodes)
                     search.complete = False
                     continue
-                target = index[accel] = tree.add(accel, i)
+                target = index[accel] = tree.add(accel, i, tree.accelerated_rank)
                 parents.append((i, name, accel != succ))
                 frontier.append(target)
                 if stop is not None:

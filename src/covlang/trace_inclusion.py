@@ -41,9 +41,10 @@ from .nets import (
 from .reach import _accelerated_search, _rank, _SupportIndex, om_fire
 
 
-def _maximal(markings) -> tuple:
+def _maximal(markings, ranks=None) -> tuple:
     """Antichain of maximal elements under the omega-extended order, sorted
-    by repr.
+    by repr.  ``ranks``, when given, holds each marking's ``reach._rank``,
+    in the order of the markings, which are then distinct.
 
     Distinct markings are visited by descending rank (``reach._rank``), so
     every strict dominator of a marking is visited, and kept or dominated
@@ -52,7 +53,10 @@ def _maximal(markings) -> tuple:
     (``reach._SupportIndex``), and a marking is compared only with kept
     markings of strictly higher rank whose support contains its own.
     """
-    rank = {m: _rank(m) for m in markings}
+    if ranks is None:
+        rank = {m: _rank(m) for m in markings}
+    else:
+        rank = dict(zip(markings, ranks))
     if len(rank) < 2:
         return tuple(rank)
     ordered = sorted(rank, key=rank.__getitem__, reverse=True)
@@ -87,7 +91,7 @@ def silent_closure(net: PetriNet, markings, max_nodes: int = 50_000):
             parent, name, accelerated = step
             source, fired, _ = certificates[search.nodes[parent]]
             certificates[node] = (source, fired + (name,), accelerated)
-    return _maximal(search.nodes), certificates
+    return _maximal(search.nodes, search.ranks), certificates
 
 
 def _net_steps(net: PetriNet):

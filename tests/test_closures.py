@@ -32,9 +32,12 @@ from covlang.fsa import (
     is_empty,
     make_fsa,
     minimal_dfa_size,
+    trim_coaccessible,
 )
 from covlang.nets import EPSILON, Marking, NetInstance, PetriNet, Transition, is_bpp
 from covlang.reach import OMEGA, brute_force_language, member
+from covlang.textio import print_fsa
+from covlang.trace_inclusion import is_closed
 
 
 def chain_fsa(limit, at_least=False):
@@ -364,6 +367,70 @@ class TestOutEdgesHandOver:
                     assert set(edges) == rebuilt.get(q, set()), (i, q)
                 checked += 1
         assert checked >= 280
+
+
+def _triples_unread(a):
+    """The automaton has not built its frozenset of triples yet."""
+    return "transitions" not in vars(a)
+
+
+def _twin(a):
+    """The automaton rebuilt by ``make_fsa`` from the triples of its table,
+    without reading its ``transitions``."""
+    triples = [(q, x, q2) for q, edges in a.out_edges().items() for x, q2 in edges]
+    return make_fsa(a.alphabet, a.states, triples, a.initial, a.finals)
+
+
+class TestTableBackedAutomaton:
+    """An automaton built from an explorer's table builds its triples only
+    when something reads them, and answers every query as the automaton
+    built from those triples does."""
+
+    def test_agrees_with_its_twin_built_from_triples(self):
+        rng = random.Random(62)
+        builders = {
+            "k_bounded_fsa": lambda inst: k_bounded_fsa(inst, 3, 2_000),
+            "reachability_fsa": lambda inst: reachability_fsa(inst, 3, 2_000),
+            "dc_fsa_bpp": lambda inst: dc_fsa_bpp(inst, 2_000),
+            "uc_fsa": lambda inst: uc_fsa(inst, max_states=2_000).fsa,
+            "dc_fsa_pn": lambda inst: dc_fsa_pn(inst, 2_000).fsa,
+        }
+        checked = dict.fromkeys(builders, 0)
+        for i in range(60):
+            inst = random_net(rng, bpp=i % 2 == 0)
+            for name, build in builders.items():
+                if name == "dc_fsa_bpp" and not is_bpp(inst.net):
+                    continue
+                try:
+                    a = build(inst)
+                except BudgetExceeded:
+                    continue
+                twin = _twin(a)
+                assert minimal_dfa_size(a) == minimal_dfa_size(twin), (i, name)
+                assert included(a, twin) == (True, None) == included(twin, a), (i, name)
+                trimmed, twin_trimmed = trim_coaccessible(a), trim_coaccessible(twin)
+                if name != "uc_fsa" or not is_bpp(inst.net):  # saturate_up reads triples
+                    assert _triples_unread(a), (i, name)
+                assert trimmed == twin_trimmed, (i, name)
+                assert print_fsa(a) == print_fsa(twin), (i, name)
+                assert a == twin and hash(a) == hash(twin), (i, name)
+                assert a.transitions == twin.transitions, (i, name)
+                checked[name] += 1
+        assert min(checked.values()) >= 25, checked
+
+    def test_power_down_never_builds_the_triples(self, monkeypatch):
+        built = []
+        from_out_edges = Fsa.from_out_edges.__func__
+
+        def recorded(cls, *args):
+            built.append(from_out_edges(cls, *args))
+            return built[-1]
+
+        monkeypatch.setattr(Fsa, "from_out_edges", classmethod(recorded))
+        result = is_closed(bpp_power_instance(12), "down")
+        assert result.answer == "no" and result.counterexample == ()
+        assert len(built) == 1 and len(built[0].states) == 2**12 + 2
+        assert _triples_unread(built[0])
 
 
 # The explorers before they numbered their states: transitions fired by name

@@ -6,6 +6,7 @@ import pytest
 from corpus import random_fsa
 from covlang.errors import AlphabetMismatch
 from covlang.fsa import (
+    Fsa,
     accepts,
     empty_fsa,
     enumerate_words,
@@ -279,3 +280,25 @@ class TestTrim:
 
     def test_empty_language_returns_none(self):
         assert trim_coaccessible(empty_fsa(("a",))) is None
+
+
+class TestFromOutEdges:
+    """A table is validated as the triples it stands for would be."""
+
+    def test_undeclared_letter(self):
+        with pytest.raises(ValueError, match="undeclared letter 'b'"):
+            Fsa.from_out_edges(("a",), {0: (("a", 1), ("b", 1)), 1: ()}, 0, [1])
+
+    def test_target_missing_from_the_table(self):
+        with pytest.raises(ValueError, match="transition endpoint not declared"):
+            Fsa.from_out_edges(("a",), {0: (("a", 1), ("a", 2)), 1: ()}, 0, [1])
+
+    def test_undeclared_initial_and_final_states(self):
+        with pytest.raises(ValueError, match="initial state not declared"):
+            Fsa.from_out_edges(("a",), {0: ()}, 1, [])
+        with pytest.raises(ValueError, match="final states not declared"):
+            Fsa.from_out_edges(("a",), {0: ()}, 0, [1])
+
+    def test_silent_edges_need_no_letter(self):
+        a = Fsa.from_out_edges(("a",), {0: ((EPSILON, 1),), 1: (("a", 1),)}, 0, [1])
+        assert a == make_fsa(("a",), {0, 1}, {(0, EPSILON, 1), (1, "a", 1)}, 0, {1})

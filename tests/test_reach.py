@@ -473,6 +473,42 @@ class TestIndexedSearch:
         assert verdict.answer == "fails"
 
 
+class TestFireableSteps:
+    """A node fires only the transitions whose pre-places (arcs of weight
+    > 0) all hold a token or omega there."""
+
+    def test_km_graph_fires_only_transitions_with_marked_pre_places(self, monkeypatch):
+        fired = []
+
+        def recorded(m, pre, post):
+            fired.append((m, pre))
+            return om_fire(m, pre, post)
+
+        inst = ackermann_instance(2, 1)
+        expected = km_graph(inst.net, inst.initial)
+        monkeypatch.setattr(reach, "om_fire", recorded)
+        graph = km_graph(inst.net, inst.initial)
+        assert graph == expected
+        assert all(m[i] > 0 for m, pre in fired for i, w in pre if w > 0)
+        assert len(fired) < len(graph.nodes) * len(inst.net.transitions)
+
+    def _weight_zero_net(self, label):
+        # built directly: Transition.make would drop the weight-0 arc
+        grow = Transition("grow", label, (("empty", 0),), (("full", 1),))
+        return PetriNet(("a",), ("empty", "full"), (grow,))
+
+    def test_a_weight_zero_arc_on_an_empty_place_fires_in_km_graph(self):
+        net = self._weight_zero_net("a")
+        graph = km_graph(net, Marking.zero(net))
+        assert graph.nodes == ((0, 0), (0, OMEGA))
+        assert graph.edges == ((0, "grow", 1), (1, "grow", 1))
+
+    def test_a_weight_zero_arc_on_an_empty_place_fires_in_silent_closure(self):
+        net = self._weight_zero_net(EPSILON)
+        closure, _certificates = silent_closure(net, [(0, 0)])
+        assert closure == ((0, OMEGA),)
+
+
 class TestSuppn:
     def test_vacuous(self, power2):
         assert simultaneously_unbounded(power2.net, power2.initial, [])
