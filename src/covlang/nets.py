@@ -8,6 +8,7 @@ counts and arc weights are plain Python integers and may grow without bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Mapping
 
 from .errors import AlphabetMismatch, LetterCollision, NotEnabled
@@ -154,7 +155,7 @@ class Marking:
         return sum(self.counts)
 
     def covers(self, other: "Marking") -> bool:
-        return all(a >= b for a, b in zip(self.counts, other.counts))
+        return all(map(ge, self.counts, other.counts))
 
     def get(self, net: PetriNet, place: str) -> int:
         return self.counts[net.place_index[place]]

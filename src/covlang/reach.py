@@ -17,7 +17,9 @@ support (``_SupportIndex``): one bitmask per place of the markings holding a
 token or omega there.
 
 Backward coverability (``coverable``, and ``member`` through it) saturates an
-antichain of minimal markings from the final marking.  It drops every
+antichain of minimal markings from the final marking.  The antichain
+(``UpwardClosedSet``) is indexed by support with the same ``_SupportIndex``,
+so forward and backward dominance tests share one index.  It drops every
 marking m with y . m > y . m0 for a minimal-support P-semiflow y of the net
 (computed once per call by the Farkas algorithm), and it raises
 BudgetExceeded past ``max_nodes`` inserted markings.
@@ -29,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, inf
-from operator import ge, not_
+from operator import ge, gt, not_
 
 from .errors import AlphabetMismatch, BudgetExceeded, NotEnabled
 from .nets import (
@@ -191,6 +193,20 @@ class _SupportIndex:
         for p in compress(self.places, key):
             among &= holders[p]
         return any(all(map(ge, keys[j], key)) for j in _bits(among))
+
+    def above(self, key: tuple, among: int):
+        """The added markings of the bitmask ``among`` that are >= the key."""
+        holders, keys = self.holders, self.keys
+        for p in compress(self.places, key):
+            among &= holders[p]
+        return [j for j in _bits(among) if all(map(ge, keys[j], key))]
+
+    def covers(self, key: tuple, among: int) -> bool:
+        """Some added marking of the bitmask ``among`` is <= the key."""
+        holders, keys = self.holders, self.keys
+        for p in compress(self.places, map(not_, key)):
+            among &= ~holders[p]
+        return any(all(map(ge, key, keys[j])) for j in _bits(among))
 
     def below(self, key: tuple, among: int):
         """The added markings of the bitmask ``among`` that are <= the key."""
@@ -359,43 +375,60 @@ def simultaneously_unbounded(
 # Backward coverability
 
 
-@dataclass
 class UpwardClosedSet:
-    """Finite basis (an antichain of minimal elements) of an upward-closed set."""
+    """Finite basis (an antichain of minimal elements) of an upward-closed set.
 
-    basis: list
+    Every inserted marking is numbered in insertion order and kept as a tuple
+    (``keys``); ``alive`` is the bitmask of those still minimal, and
+    ``basis`` lists them in insertion order.  A ``_SupportIndex`` over the
+    keys serves both tests of an insertion: a basis marking below the new one
+    has its support inside the new one's, and a basis marking above it has a
+    support containing it.  ``coverable`` inserts tuples through ``add``.
+    """
+
+    __slots__ = ("keys", "alive", "index")
 
     def __init__(self, markings=()):
-        self.basis = []
+        self.keys = []
+        self.alive = 0
+        self.index = None  # built at the first insertion, which gives the place count
         for m in markings:
             self.insert(m)
 
+    @property
+    def basis(self) -> list:
+        keys = self.keys
+        return [Marking(keys[j]) for j in _bits(self.alive)]
+
     def contains(self, m: Marking) -> bool:
-        return any(m.covers(b) for b in self.basis)
+        return self.index is not None and self.index.covers(m.counts, self.alive)
 
     def insert(self, m: Marking) -> bool:
         """Add a new minimal element; returns False if m was already covered."""
-        if self.contains(m):
-            return False
-        self.basis = [b for b in self.basis if not b.covers(m)]
-        self.basis.append(m)
-        return True
+        return self.add(m.counts) >= 0
+
+    def add(self, key: tuple) -> int:
+        """Insert a marking given as its counts; returns its number, or -1 if
+        some basis marking lies below it."""
+        index, alive = self.index, self.alive
+        if index is None:
+            index = self.index = _SupportIndex(self.keys, len(key))
+        elif index.covers(key, alive):
+            return -1
+        else:
+            for j in index.above(key, alive):
+                alive &= ~(1 << j)
+        j = len(self.keys)
+        self.keys.append(key)
+        index.add(j)
+        self.alive = alive | 1 << j
+        return j
 
     def is_antichain(self) -> bool:
+        basis = self.basis
         return not any(
-            a is not b and a.covers(b) for a in self.basis for b in self.basis
+            i != j and a.covers(b) for i, a in enumerate(basis) for j, b in enumerate(basis)
         )
-
-
-def _pre_marking(net: PetriNet, target: Marking, t) -> Marking:
-    """Smallest marking from which firing t yields a marking covering target."""
-    _label, pre, post = net.arcs[t.name]
-    counts = list(target.counts)
-    for i, w in post:
-        counts[i] = max(counts[i] - w, 0)
-    for i, w in pre:
-        counts[i] += w
-    return Marking(tuple(counts))
 
 
 #: Farkas tables with more rows than this are abandoned; backward
@@ -456,58 +489,102 @@ def _semiflows(net: PetriNet) -> list:
 def coverable(inst: NetInstance, max_nodes: int = 100_000):
     """Exact backward coverability; returns (answer, witness-or-None).
 
-    The witness is a transition sequence whose replay from the initial marking
-    covers the final marking.  A marking m with y . m > y . m0 for some
-    P-semiflow y cannot be covered from the initial marking m0, since y . m is
-    the same on every reachable marking; nor can any of its predecessors, so
-    such markings are dropped without changing the answer or the witness.
-    Inserting more than max_nodes markings raises BudgetExceeded.
+    The search saturates an ``UpwardClosedSet`` from the final marking, one
+    layer of pre-markings at a time: the smallest marking from which firing
+    a transition covers a marking of the previous layer.  After each layer
+    it looks for a covered basis marking among those inserted since the last
+    look, the first in insertion order; the older ones are not covered by
+    the initial marking.  The witness is the transition sequence from that
+    marking to the final one, whose replay from the initial marking covers
+    the final marking.
+
+    A marking m with y . m > y . m0 for some P-semiflow y cannot be covered
+    from the initial marking m0, since y . m is the same on every reachable
+    marking; nor can any of its predecessors, so such markings are dropped
+    without changing the answer or the witness.  Each inserted marking keeps
+    its y . m, and y . pre(b, t) is y . b plus the weight t's pre-arcs put
+    in y, minus y_i . min(b_i, w) for each post-arc (i, w).  Inserting more
+    than max_nodes markings raises BudgetExceeded.
     """
     net = inst.net
-    bounds = [
-        (y, sum(v * inst.initial.counts[i] for i, v in y)) for y in _semiflows(net)
-    ]
-
-    def uncoverable(m: Marking) -> bool:
-        return any(sum(v * m.counts[i] for i, v in y) > bound for y, bound in bounds)
-
-    if uncoverable(inst.final):
+    m0 = inst.initial.counts
+    final = inst.final.counts
+    flows = [dict(y) for y in _semiflows(net)]
+    bounds = [sum(v * m0[i] for i, v in y.items()) for y in flows]
+    sums = [[sum(v * final[i] for i, v in y.items()) for y in flows]]
+    if any(map(gt, sums[0], bounds)):
         return False, None
-    goal = UpwardClosedSet([inst.final])
-    # chain[marking] = (transition-name, next-basis-marking) toward the goal
-    chain = {inst.final: None}
-
-    def extract():
-        start = next((b for b in goal.basis if inst.initial.covers(b)), None)
-        if start is None:
-            return None
-        witness = []
-        step = chain[start]
-        while step is not None:
-            name, nxt = step
-            witness.append(name)
-            step = chain[nxt]
-        return witness
-
-    frontier = [inst.final]
-    inserted = 1
+    # per transition and semiflow y: the weight t's pre-arcs put in y, t's
+    # post-arcs on y's support with y's weight there, and y . m0
+    steps = [
+        (name, pre, post, [
+            (
+                sum(y.get(i, 0) * w for i, w in pre),
+                [(i, w, y[i]) for i, w in _merged(post) if i in y],
+                bound,
+            )
+            for y, bound in zip(flows, bounds)
+        ])
+        for name, (_label, pre, post) in net.arcs.items()
+    ]
+    goal = UpwardClosedSet()
+    goal.add(final)
+    keys = goal.keys
+    # chain[j] = (transition-name, number of the next marking toward the goal)
+    chain = [None]
+    frontier = [0]
+    checked = 0  # the markings numbered below this are not covered by m0
     while frontier:
         new_frontier = []
-        for b in frontier:
-            for t in net.transitions:
-                pre = _pre_marking(net, b, t)
-                if uncoverable(pre) or not goal.insert(pre):
-                    continue
-                inserted += 1
-                if inserted > max_nodes:
-                    raise BudgetExceeded("backward-coverability markings", max_nodes)
-                chain[pre] = (t.name, b)
-                new_frontier.append(pre)
+        for j in frontier:
+            b = keys[j]
+            b_sums = sums[j]
+            for name, pre, post, pruning in steps:
+                pre_sums = []
+                for (gain, losses, bound), total in zip(pruning, b_sums):
+                    total += gain
+                    for i, w, v in losses:
+                        total -= v * (b[i] if b[i] < w else w)
+                    if total > bound:
+                        break
+                    pre_sums.append(total)
+                else:
+                    counts = list(b)
+                    for i, w in post:
+                        v = counts[i] - w
+                        counts[i] = v if v > 0 else 0
+                    for i, w in pre:
+                        counts[i] += w
+                    k = goal.add(tuple(counts))
+                    if k < 0:
+                        continue
+                    if k >= max_nodes:
+                        raise BudgetExceeded("backward-coverability markings", max_nodes)
+                    sums.append(pre_sums)
+                    chain.append((name, j))
+                    new_frontier.append(k)
         frontier = new_frontier
-        witness = extract()
-        if witness is not None:
-            return True, witness
+        alive = goal.alive
+        for k in range(checked, len(keys)):
+            if alive >> k & 1 and all(map(ge, m0, keys[k])):
+                witness = []
+                step = chain[k]
+                while step is not None:
+                    name, k = step
+                    witness.append(name)
+                    step = chain[k]
+                return True, witness
+        checked = len(keys)
     return False, None
+
+
+def _merged(arcs: tuple) -> tuple:
+    """Arcs with the weights on each place summed, in first-seen order, so
+    that a place's post-arcs take min(b_i, w) tokens for their total w."""
+    total = {}
+    for i, w in arcs:
+        total[i] = total.get(i, 0) + w
+    return tuple(total.items())
 
 
 def is_coverable(inst: NetInstance) -> bool:

@@ -132,7 +132,7 @@ def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000)
     return _search(start, step, sorted(a.alphabet), net, m0, max_nodes)
 
 
-def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int):
+def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int, trim=None):
     """Breadth-first trace tree of an automaton, given by its start
     macrostate, its ``step`` function and its sorted ``letters``, against the
     net from m0; returns what ``traces_included`` returns.
@@ -141,6 +141,11 @@ def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int):
     and no ancestor can subsume it, since an ancestor has children.  It only
     needs some transition of its letter to be enabled, so its silent closure
     is never built; it still counts against ``max_nodes``.
+
+    ``trim``, when given, maps a macrostate to the part that ``step`` keeps
+    of it.  The root is stepped from as given, and trimmed only before the
+    first subsumption test, which compares it with trimmed macrostates; a
+    search that ends at the root's dead ends never trims it.
     """
     by_label = _net_steps(net)
     start_s, _ = silent_closure(net, [tuple(m0.counts)], max_nodes)
@@ -163,6 +168,9 @@ def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int):
                 s2 = _letter_step(net, s, arcs, max_nodes)
                 if not s2:
                     return False, w + (x,)
+                if trim is not None:  # the first subsumption test, at the root
+                    ancestors = ((trim(start), start_s),)
+                    trim = None
                 subsumed = any(
                     qa0 == qa2 and all(any(all(map(ge, m, m0_)) for m in s2) for m0_ in s0)
                     for qa0, s0 in ancestors
@@ -210,22 +218,38 @@ def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000)
     rather than a copy of it: a letter step keeps the co-accessible states of
     ``a``'s step, the fresh letter leads from a macrostate that holds a final
     state to ``_SINK``, and it takes its sorted place among the letters.
+
+    The co-accessible states are computed at the first letter step that
+    reaches some state, or at once when the start macrostate holds no final
+    state, which also decides whether L(a) is empty.  So an answer that the
+    end letter gives at the start, such as the counterexample () when the
+    automaton accepts the empty word and the net does not, never computes
+    them.
     """
-    alive = _coaccessible(a)
-    if a.initial not in alive:
-        return True, None
     fresh = _fresh_letter(set(inst.net.alphabet) | set(a.alphabet))
     step_a, close = _step_fn(a)
+    alive = None
+
+    def trim(qa: frozenset) -> frozenset:
+        nonlocal alive
+        if alive is None:
+            alive = _coaccessible(a)
+        return qa & alive
 
     def step(qa: frozenset, x: str) -> frozenset:
         if x == fresh:
             return _SINK if qa & a.finals else frozenset()
-        return step_a(qa, x) & alive
+        nxt = step_a(qa, x)
+        return trim(nxt) if nxt else nxt
 
-    start = close(frozenset([a.initial])) & alive
+    start = close(frozenset([a.initial]))
+    if not start & a.finals:
+        start = trim(start)
+        if not start:
+            return True, None
     letters = sorted(set(a.alphabet) | {fresh})
     lifted = append_final_letter(inst, fresh)
-    ok, trace = _search(start, step, letters, lifted.net, lifted.initial, max_nodes)
+    ok, trace = _search(start, step, letters, lifted.net, lifted.initial, max_nodes, trim)
     if ok:
         return True, None
     word = _extend_to_acceptance(start, step, letters, trace)

@@ -641,6 +641,161 @@ class TestUpwardClosedSet:
         assert s.contains(Marking((2, 1)))
         assert not s.contains(Marking((1, 0)))
 
+    def test_matches_the_list_scan(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            places = rng.randint(1, 4)
+            indexed, naive = UpwardClosedSet(), _UpwardClosedSetReference()
+            for _ in range(rng.randint(1, 40)):
+                m = Marking(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(places)))
+                assert indexed.contains(m) == naive.contains(m)
+                assert indexed.insert(m) == naive.insert(m)
+                assert indexed.basis == naive.basis
+
+
+class _UpwardClosedSetReference:
+    """The basis as a list, scanned in full on every test."""
+
+    def __init__(self):
+        self.basis = []
+
+    def contains(self, m):
+        return any(m.covers(b) for b in self.basis)
+
+    def insert(self, m):
+        if self.contains(m):
+            return False
+        self.basis = [b for b in self.basis if not b.covers(m)]
+        self.basis.append(m)
+        return True
+
+
+def _pre_marking_reference(net, target, t):
+    """Smallest marking from which firing t yields a marking covering target."""
+    _label, pre, post = net.arcs[t.name]
+    counts = list(target.counts)
+    for i, w in post:
+        counts[i] = max(counts[i] - w, 0)
+    for i, w in pre:
+        counts[i] += w
+    return Marking(tuple(counts))
+
+
+def _coverable_reference(inst, max_nodes=100_000):
+    """Backward coverability on the list-scanned basis, with every semiflow
+    sum computed from scratch and every basis marking tested for a witness
+    after each layer."""
+    net = inst.net
+    bounds = [
+        (y, sum(v * inst.initial.counts[i] for i, v in y)) for y in _semiflows(net)
+    ]
+
+    def uncoverable(m):
+        return any(sum(v * m.counts[i] for i, v in y) > bound for y, bound in bounds)
+
+    if uncoverable(inst.final):
+        return False, None
+    goal = _UpwardClosedSetReference()
+    goal.insert(inst.final)
+    chain = {inst.final: None}
+
+    def extract():
+        start = next((b for b in goal.basis if inst.initial.covers(b)), None)
+        if start is None:
+            return None
+        witness = []
+        step = chain[start]
+        while step is not None:
+            name, nxt = step
+            witness.append(name)
+            step = chain[nxt]
+        return witness
+
+    frontier = [inst.final]
+    inserted = 1
+    while frontier:
+        new_frontier = []
+        for b in frontier:
+            for t in net.transitions:
+                pre = _pre_marking_reference(net, b, t)
+                if uncoverable(pre) or not goal.insert(pre):
+                    continue
+                inserted += 1
+                if inserted > max_nodes:
+                    raise BudgetExceeded("backward-coverability markings", max_nodes)
+                chain[pre] = (t.name, b)
+                new_frontier.append(pre)
+        frontier = new_frontier
+        witness = extract()
+        if witness is not None:
+            return True, witness
+    return False, None
+
+
+def _coverable_outcome(coverable_fn, inst, max_nodes):
+    try:
+        return coverable_fn(inst, max_nodes)
+    except BudgetExceeded:
+        return "budget"
+
+
+class TestIndexedCoverable:
+    """The support-indexed backward search against the list scan."""
+
+    def test_matches_the_list_scan_on_seeded_nets(self):
+        rng = random.Random(2031)
+        seen = {
+            "yes": 0, "no": 0, "budget": 0, "no, with a semiflow": 0,
+            "witness of two steps or more": 0,
+        }
+        for i in range(2_400):
+            kind = i % 4
+            if kind < 2:  # communication-free, then synchronizing, with a larger final
+                inst = random_net(
+                    rng, max_places=4, max_transitions=4, max_weight=3, bpp=kind == 0
+                )
+                final = Marking(tuple(rng.randint(0, 4) for _ in inst.net.places))
+                inst = NetInstance(inst.net, inst.initial, final)
+            else:  # a product with an automaton, in either mode
+                base = random_net(rng, max_places=3, max_transitions=3)
+                mode = ("full", "right")[kind - 2]
+                synced = sync_with_fsa(base.net, random_fsa(rng, max_states=4), mode)
+                inst = synced.make_instance(base)
+            budget = rng.choice((3, 10, 200))
+            expected = _coverable_outcome(_coverable_reference, inst, budget)
+            assert _coverable_outcome(coverable, inst, budget) == expected, (inst, budget)
+            if expected == "budget":
+                seen["budget"] += 1
+                continue
+            ok, witness = expected
+            seen["yes" if ok else "no"] += 1
+            seen["witness of two steps or more"] += ok and len(witness) >= 2
+            seen["no, with a semiflow"] += not ok and bool(_semiflows(inst.net))
+        assert min(seen.values()) >= 150, seen
+
+    def test_a_place_twice_in_the_post_arcs(self):
+        # t takes min(b_p, 2) tokens of p for its two arcs of weight 1; the
+        # semiflow 1*p + 2*q then prunes pre(final, t) = q:1 at y . m0 = 1
+        t = Transition("t", "a", (("q", 1),), (("p", 1), ("p", 1)))
+        net = PetriNet(("a",), ("p", "q"), (t,))
+        inst = NetInstance(net, Marking((1, 0)), Marking((1, 0)))
+        for budget in (1, 10):
+            assert coverable(inst, budget) == _coverable_reference(inst, budget) == (True, [])
+
+    @pytest.mark.parametrize(
+        "query, inserted",
+        [
+            (lambda budget: coverable(bpp_power_instance(7), budget)[0], 130),
+            (lambda budget: member(("a",) * 16, bpp_power_instance(4), "down", budget), 188),
+        ],
+        ids=["cover bpp-power(7)", "member down a^16 bpp-power(4)"],
+    )
+    def test_budget_counts_the_inserted_markings(self, query, inserted):
+        # the counts of the list-scanned search
+        assert query(inserted)
+        with pytest.raises(BudgetExceeded):
+            query(inserted - 1)
+
 
 class TestLongestRun:
     def test_terminating_families(self):

@@ -18,6 +18,7 @@ from covlang.nets import (
     append_final_letter,
     fire,
 )
+from covlang import trace_inclusion
 from covlang.reach import OMEGA, _rank, _Tree, member, om_accelerate, om_fire
 from covlang.trace_inclusion import (
     _maximal,
@@ -412,6 +413,17 @@ class TestEndLetterOnTheAutomaton:
         result = is_closed(bpp_power_instance(n), "down")
         assert result.answer == "no" and result.counterexample == ()
         assert len(built) == 1
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_power_down_is_decided_before_trimming(self, n, monkeypatch):
+        # the end letter is not enabled at the root: the answer needs no
+        # co-accessible states
+        def refuse(a):
+            raise AssertionError("the automaton was trimmed")
+
+        monkeypatch.setattr(trace_inclusion, "_coaccessible", refuse)
+        result = is_closed(bpp_power_instance(n), "down")
+        assert result.answer == "no" and result.counterexample == ()
 
 
 def _chain_fsa(length, all_final):
