@@ -10,7 +10,7 @@ closure automata, and the seconds spent minimizing them.
 import argparse
 import time
 
-from covlang.closures import bpp_cutoff_bound, dc_fsa_bpp, uc_fsa_bpp
+from covlang.closures import bpp_cutoff_bound, dc_fsa_pn, uc_fsa_bpp
 from covlang.families import bpp_power_instance
 from covlang.fsa import minimal_dfa_size
 
@@ -25,7 +25,7 @@ def main():
     for n in range(1, args.max_n + 1):
         inst = bpp_power_instance(n)
         started = time.perf_counter()
-        closures = (dc_fsa_bpp(inst), uc_fsa_bpp(inst))
+        closures = (dc_fsa_pn(inst).fsa, uc_fsa_bpp(inst))
         built = time.perf_counter()
         dc_size, uc_size = (minimal_dfa_size(fsa) for fsa in closures)
         minimized = time.perf_counter()

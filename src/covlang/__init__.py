@@ -7,7 +7,6 @@ from .closures import (
     ClosureResult,
     bpp_cutoff_bound,
     bpp_short_bound,
-    dc_fsa,
     dc_fsa_bpp,
     dc_fsa_pn,
     k_bounded_fsa,

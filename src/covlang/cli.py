@@ -16,7 +16,7 @@ from . import families
 from .closures import (
     bpp_cutoff_bound,
     bpp_short_bound,
-    dc_fsa,
+    dc_fsa_pn,
     rackoff_bound,
     rackoff_g_bound,
     uc_fsa,
@@ -184,7 +184,7 @@ def _closure_result(args, inst):
     if args.dir == "down":
         if mode is not None:
             raise ParseError(0, "no --mode with --dir down", mode)
-        return dc_fsa(inst, args.budget_nodes)
+        return dc_fsa_pn(inst, args.budget_nodes)
     if mode is None:
         return uc_fsa(inst, max_states=args.budget_nodes)
     if mode.startswith("k=") and mode[2:].isascii() and mode[2:].isdigit():

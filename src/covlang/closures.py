@@ -7,15 +7,15 @@ language until one coverability query shows that no word of the language lies
 outside uc(W).  Each added word lies outside uc(W), so Higman's lemma ends the
 loop.  Saturating the k-bounded automaton gives an under-approximation, exact
 once k reaches the classical run-length recurrence over the number of places.
-Downward closures (``dc_fsa``) use the cutoff abstraction for
-communication-free nets and the coverability graph in general.
+Downward closures (``dc_fsa_pn``) come from the coverability graph on every net.
 
 One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
-``reachability_fsa`` over markings within k steps and ``dc_fsa_bpp`` over
-cutoff-abstracted markings; ``dc_fsa_pn`` reads the accelerated search's graph
-(``km_graph``).  The explorer numbers the states 0, 1, ... in the order it
-discovers them and hands the automaton its numbered table of edges; the
-automaton keeps only the numbers, not the markings, and no transition triples.
+``reachability_fsa`` over markings within k steps, and ``dc_fsa_pn`` over
+reachable markings when P-semiflows bound every place; elsewhere ``dc_fsa_pn``
+reads the accelerated search's graph (``km_graph``).  The explorer numbers
+the states 0, 1, ... in the order it discovers them and hands the automaton
+its numbered table of edges; the automaton keeps only the numbers, not the
+markings, and no transition triples.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import itemgetter
 from .errors import BudgetExceeded, NotBpp
 from .fsa import Fsa, saturate_up
 from .nets import EPSILON, NetInstance, fire, is_bpp, subword, sync_with_fsa
-from .reach import OMEGA, coverable, km_graph, om_fire
+from .reach import _semiflows, coverable, km_graph, om_fire
 
 #: Materializing integers beyond this many bits is pointless for desk work.
 MAX_VALUE_BITS = 10**7
@@ -126,9 +126,9 @@ def bpp_cutoff_bound(inst: NetInstance) -> BoundReport:
 
 def pump_threshold(inst: NetInstance) -> int:
     """Token threshold beyond which a place of a communication-free net is
-    pumpable.  Any threshold at or above the cutoff bound keeps the cutoff
-    abstraction exact; raising it above the marking maxima guards nets with
-    degenerate flow."""
+    pumpable: the cutoff bound, raised above the marking maxima to guard nets
+    with degenerate flow.  It is the threshold of the staged-witness formula
+    of ``sre_inclusion.p_witness_system``; no closure automaton uses it."""
     return max(
         bpp_cutoff_bound(inst).value,
         max(inst.initial.counts, default=0) + 1,
@@ -137,18 +137,20 @@ def pump_threshold(inst: NetInstance) -> int:
     )
 
 
-def _explore(alphabet, start, successors, accepting, max_states, budget_kind) -> Fsa:
+def _explore(alphabet, start, successors, accepting, max_states, budget_kind, partial=False):
     """Breadth-first automaton of the states reachable from start.
 
     ``successors(q)`` yields (label, target) pairs; each distinct pair becomes
     an edge.  The automaton keeps only the states' numbers in discovery
     order, start being 0, and gets the table of each state's distinct pairs
     as its ``out_edges``.  A new state beyond ``max_states`` raises
-    BudgetExceeded(budget_kind).
+    BudgetExceeded(budget_kind), or with partial=True is dropped with its
+    edges; the result is then the pair (automaton, whether none was dropped).
     """
     number = {start: 0}
     table = []  # state i's distinct (label, number) pairs: a tuple, untracked by gc
     finals = []
+    complete = True
     queue = deque([start])  # discovered, not yet expanded: states len(table), ...
     while queue:
         q = queue.popleft()
@@ -159,13 +161,17 @@ def _explore(alphabet, start, successors, accepting, max_states, budget_kind) ->
             j = number.get(target)
             if j is None:
                 if len(number) >= max_states:
-                    raise BudgetExceeded(budget_kind, max_states)
+                    if not partial:
+                        raise BudgetExceeded(budget_kind, max_states)
+                    complete = False
+                    continue
                 j = number[target] = len(number)
                 queue.append(target)
             edges[label, j] = None
         table.append(tuple(edges))
     del number  # free the markings before the automaton is built
-    return Fsa.from_out_edges(alphabet, dict(enumerate(table)), 0, finals)
+    fsa = Fsa.from_out_edges(alphabet, dict(enumerate(table)), 0, finals)
+    return (fsa, complete) if partial else fsa
 
 
 def _fired(net, m):
@@ -320,70 +326,64 @@ def uc_fsa_bpp(inst: NetInstance, max_states: int = 200_000) -> Fsa:
     return saturate_up(reachability_fsa(inst, bpp_short_bound(inst).value, max_states))
 
 
-def dc_fsa(inst: NetInstance, max_states: int) -> ClosureResult:
-    """Downward-closure automaton within ``max_states`` states: the cutoff
-    abstraction on communication-free nets, the coverability graph elsewhere."""
-    if is_bpp(inst.net):
-        return ClosureResult(dc_fsa_bpp(inst, max_states), "exact")
-    return dc_fsa_pn(inst, max_states)
-
-
 def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:
-    """Exact downward closure for communication-free nets via the cutoff
-    abstraction: token counts at or beyond the pumpability threshold collapse
-    to omega, and every transition also gets a silent variant.
-    """
-    net = inst.net
-    threshold = pump_threshold(inst)
-    arcs = tuple(net.arcs.values())
-    final = [(i, c) for i, c in enumerate(inst.final.counts) if c]
-    clamp = lambda v: OMEGA if v >= threshold else v
-
-    def successors(q):
-        # q's counts are omega or below the threshold; firing raises post's only
-        for label, pre, post in arcs:
-            target = om_fire(q, pre, post)
-            if target is not None:
-                for i, _w in post:
-                    if target[i] >= threshold:
-                        target = tuple(map(clamp, target))
-                        break
-                yield label, target
-                yield EPSILON, target
-
-    def accepting(q):
-        for i, c in final:
-            if q[i] < c:
-                return False
-        return True
-
-    return _explore(
-        net.alphabet,
-        tuple(inst.initial.counts),
-        successors,
-        accepting,
-        max_states,
-        "cutoff abstraction states",
-    )
+    """``dc_fsa_pn``'s automaton of a communication-free net; NotBpp on other
+    nets, and BudgetExceeded when the graph outgrows ``max_states`` nodes."""
+    if not is_bpp(inst.net):
+        raise NotBpp("dc_fsa_bpp takes communication-free nets only")
+    result = dc_fsa_pn(inst, max_states)
+    if not result.exact:
+        raise BudgetExceeded("karp-miller nodes", max_states)
+    return result.fsa
 
 
 def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:
-    """Downward closure from the coverability graph: nodes become states, each
-    edge gets a silent twin, covering nodes accept.  Exact when the graph
-    construction completes within budget; a partial graph still yields a sound
-    under-approximation.  The silent twins make the automaton's language
-    downward closed as read, so ``sre_inclusion.sre_in_dc_pn`` checks every
-    product of an expression on this one automaton, on every net.
+    """Downward closure from the coverability graph, on every net: nodes
+    become states, and covering nodes accept.  Each edge gets a silent twin,
+    so the language is downward closed as read and ``sre_in_dc_pn`` checks
+    every product of an expression on this one automaton.  Exact when the
+    graph completes within ``max_nodes`` nodes; past that, new nodes are
+    dropped, which under-approximates.  If the minimal-support P-semiflows
+    cover every place, each y . m is the same on every reachable marking, so
+    no marking lies strictly above one it was reached from and no
+    acceleration fires (Memmi-Roucairol 1980, Lautenbach 1987): the graph is
+    the reachability graph, which the explicit explorer builds.
     """
-    arcs = inst.net.arcs
-    graph = km_graph(inst.net, inst.initial, max_nodes=max_nodes, partial=True)
-    exactness = "exact" if graph.complete else "partial"
-    table = dict.fromkeys(range(len(graph.nodes)), ())
-    for src, edges in groupby(graph.edges, itemgetter(0)):
-        pairs = {}
-        for _src, name, dst in edges:
-            pairs[arcs[name][0], dst] = pairs[EPSILON, dst] = None
-        table[src] = tuple(pairs)
-    finals = graph.covering_nodes(inst.final)
-    fsa = Fsa.from_out_edges(inst.net.alphabet, table, graph.root, finals)
-    return ClosureResult(fsa, exactness)
+    net, arcs = inst.net, inst.net.arcs
+    if len({i for y in _semiflows(net) for i, _v in y}) == len(net.places):
+        final = [(i, c) for i, c in enumerate(inst.final.counts) if c]
+
+        def successors(m):
+            for label, pre, post in arcs.values():
+                target = om_fire(m, pre, post)
+                if target is not None:
+                    yield label, target
+                    yield EPSILON, target
+
+        def accepting(m):
+            for i, c in final:
+                if m[i] < c:
+                    return False
+            return True
+
+        fsa, complete = _explore(
+            net.alphabet,
+            tuple(inst.initial.counts),
+            successors,
+            accepting,
+            max_nodes,
+            "karp-miller nodes",
+            partial=True,
+        )
+    else:
+        graph = km_graph(net, inst.initial, max_nodes=max_nodes, partial=True)
+        table = dict.fromkeys(range(len(graph.nodes)), ())
+        for src, edges in groupby(graph.edges, itemgetter(0)):
+            pairs = {}
+            for _src, name, dst in edges:
+                pairs[arcs[name][0], dst] = pairs[EPSILON, dst] = None
+            table[src] = tuple(pairs)
+        finals = graph.covering_nodes(inst.final)
+        fsa = Fsa.from_out_edges(net.alphabet, table, graph.root, finals)
+        complete = graph.complete
+    return ClosureResult(fsa, "exact" if complete else "partial")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import ge
 
-from .closures import dc_fsa, uc_fsa
+from .closures import dc_fsa_pn, uc_fsa
 from .errors import BudgetExceeded
 from .fsa import Fsa, _coaccessible, _shortest_word, _step_fn
 from .nets import (
@@ -286,9 +286,8 @@ def is_closed(
 
     One inclusion always holds, so the question reduces to containment of the
     exact closure automaton in the language.  The upward closure is exact on
-    every net; the downward one on communication-free nets and wherever the
-    coverability graph completes.  Unknown when a budget of max_nodes runs
-    out.
+    every net; the downward one (``dc_fsa_pn``) wherever the coverability
+    graph completes.  Unknown, naming the budget, when max_nodes runs out.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -296,9 +295,9 @@ def is_closed(
         if direction == "up":
             result = uc_fsa(inst, max_states=max_nodes)
         else:
-            result = dc_fsa(inst, max_nodes)
+            result = dc_fsa_pn(inst, max_nodes)
             if not result.exact:
-                return IsClosedResult("unknown", detail="coverability graph budget exceeded")
+                raise BudgetExceeded("karp-miller nodes", max_nodes)
         ok, word = regular_included_in_lang(result.fsa, inst, max_nodes)
     except BudgetExceeded as err:
         return IsClosedResult("unknown", detail=str(err))

@@ -9,7 +9,6 @@ from corpus import random_fsa, random_net, random_sre
 from covlang.closures import (
     bpp_cutoff_bound,
     bpp_short_bound,
-    dc_fsa_bpp,
     dc_fsa_pn,
     k_bounded_fsa,
     minimal_word_length_bounds,
@@ -104,7 +103,7 @@ def test_criterion_2_power_family_closures():
     for n in range(1, 7):
         inst = bpp_power_instance(n)
         started = time.perf_counter()
-        dc = dc_fsa_bpp(inst)
+        dc = dc_fsa_pn(inst).fsa
         uc = uc_fsa_bpp(inst)
         size = minimal_dfa_size(dc)
         elapsed = time.perf_counter() - started

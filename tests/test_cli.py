@@ -124,6 +124,10 @@ class TestPipelines:
         assert code == 0 and "pump:w" in out
         code, out, _ = run_cli(["sre-in", "--dir", "down", "-e", "a.a"], stdin_text=doc)
         assert code == 0 and "holds" in out
+        code, out, _ = run_cli(["closure", "--dir", "down"], stdin_text=doc)
+        assert code == 0 and out.startswith("# exactness: exact\n")
+        code, out, _ = run_cli(["is-closed", "--dir", "down"], stdin_text=doc)
+        assert code == 0 and out == "closed\n"
 
     def test_reg_in(self, rackoff_doc, tmp_path):
         doc = "alphabet a b c\nstate q0 initial\nstate q1\nstate q2 final\nedge q0 a q1\nedge q1 b q2\n"
@@ -181,12 +185,12 @@ class TestExportAndErrors:
         assert code == 2 and "backward-coverability markings budget of 5" in err
 
     def test_is_closed_down_node_budget_is_unknown(self):
-        # the cutoff automaton of bpp-power(10) has 2^10 + 2 states
+        # the coverability graph of bpp-power(10) has 2^10 + 2 nodes
         doc = print_net(bpp_power_instance(10))
         argv = ["--budget-nodes", "1000", "is-closed", "--dir", "down"]
         code, out, _ = run_cli(argv, stdin_text=doc)
         assert code == 2
-        assert out == "unknown (cutoff abstraction states budget of 1000 exceeded)\n"
+        assert out == "unknown (karp-miller nodes budget of 1000 exceeded)\n"
 
     def test_sre_in_up_node_budget_is_unknown(self, power2_doc):
         argv = ["--budget-nodes", "0", "sre-in", "--dir", "up", "-e", "a.a.a.a"]

@@ -9,7 +9,6 @@ from covlang import closures
 from covlang.closures import (
     bpp_cutoff_bound,
     bpp_short_bound,
-    dc_fsa,
     dc_fsa_bpp,
     dc_fsa_pn,
     k_bounded_fsa,
@@ -22,10 +21,12 @@ from covlang.closures import (
     uc_fsa_bpp,
 )
 from covlang.errors import BudgetExceeded, NotBpp
-from covlang.families import bpp_power_instance
+from covlang.families import bpp_power_instance, rackoff_counterexample
 from covlang.fsa import (
     Fsa,
+    _step_fn,
     accepts,
+    components,
     enumerate_words,
     equivalent,
     included,
@@ -35,7 +36,9 @@ from covlang.fsa import (
     trim_coaccessible,
 )
 from covlang.nets import EPSILON, Marking, NetInstance, PetriNet, Transition, is_bpp
-from covlang.reach import OMEGA, brute_force_language, member
+from covlang.reach import OMEGA, _semiflows, brute_force_language, km_graph, member
+from covlang.sre import OptionalLetter, Product, Star
+from covlang.sre_inclusion import ideal_inclusion
 from covlang.textio import print_fsa
 from covlang.trace_inclusion import is_closed
 
@@ -270,13 +273,13 @@ class TestDcFsaBpp:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_power_budget_boundary(self, n):
-        """bpp-power(n) has 2^n + 2 cutoff states: that budget builds them
+        """bpp-power(n) has 2^n + 2 Karp-Miller nodes: that budget builds them
         all, one less raises."""
         inst = bpp_power_instance(n)
         assert len(dc_fsa_bpp(inst, 2**n + 2).states) == 2**n + 2
         with pytest.raises(BudgetExceeded) as err:
             dc_fsa_bpp(inst, 2**n + 1)
-        assert (err.value.kind, err.value.budget) == ("cutoff abstraction states", 2**n + 1)
+        assert (err.value.kind, err.value.budget) == ("karp-miller nodes", 2**n + 1)
 
     def test_soundness_and_completeness_on_random_bpps(self):
         rng = random.Random(63)
@@ -315,7 +318,7 @@ class TestDcFsaPn:
         assert got == expected
 
     def test_agrees_with_cutoff_on_bpp(self, power2):
-        assert equivalent(dc_fsa_pn(power2).fsa, dc_fsa_bpp(power2))
+        assert equivalent(dc_fsa_pn(power2).fsa, _reference_dc_fsa_bpp(power2, 500_000))
 
     def test_all_silent_coverable(self):
         net = PetriNet(
@@ -333,7 +336,88 @@ class TestDcFsaPn:
         rng = random.Random(65)
         for _ in range(15):
             inst = random_net(rng, max_places=3, max_transitions=3, bpp=True)
-            assert equivalent(dc_fsa_pn(inst).fsa, dc_fsa_bpp(inst))
+            assert equivalent(dc_fsa_pn(inst).fsa, _reference_dc_fsa_bpp(inst, 500_000))
+
+    def test_matches_the_cutoff_reference_on_seeded_bpps(self):
+        """The differential gate against the cutoff explorer that this
+        construction replaced: exact within 3,000 nodes on every draw, also
+        where the reference overruns its 3,000 states, and the same language
+        wherever the reference finishes."""
+        rng = random.Random(2027)
+        built = with_omega = overruns = 0
+        for i in range(1_500):
+            inst = random_net(
+                rng, max_places=4, max_transitions=4, max_weight=2, bpp=True
+            )
+            result = dc_fsa_pn(inst, 3_000)
+            assert result.exact, i
+            try:
+                ref = _reference_dc_fsa_bpp(inst, 3_000)
+            except BudgetExceeded:
+                overruns += 1
+                continue
+            assert _same_downward_closed_language(result.fsa, ref), i
+            built += 1
+            with_omega += any(OMEGA in q for q in ref.states)
+        assert built >= 1_100 and with_omega >= 300 and overruns >= 300
+
+    def test_language_check_agrees_with_equivalent(self):
+        """The gate's language check answers as ``fsa.equivalent`` does, in
+        both roles, on the closures of small seeded nets against copies that
+        lack one letter edge, whose languages may be smaller."""
+        rng = random.Random(2029)
+        verdicts = []
+        for _ in range(200):
+            inst = random_net(rng, bpp=True)
+            try:
+                ref = _reference_dc_fsa_bpp(inst, 60)
+            except BudgetExceeded:
+                continue
+            a = dc_fsa_pn(inst, 60).fsa
+            table = a.out_edges()
+            for q, edges in table.items():
+                for cut in (e for e in edges if e[0] != EPSILON):
+                    kept = {**table, q: tuple(e for e in edges if e != cut)}
+                    b = Fsa.from_out_edges(a.alphabet, kept, a.initial, a.finals)
+                    for pair in ((b, ref), (ref, b)):
+                        verdict = equivalent(*pair)
+                        assert _same_downward_closed_language(*pair) == verdict
+                        verdicts.append(verdict)
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+    def test_bounded_nets_skip_the_accelerated_search(self, monkeypatch):
+        """Where the semiflows cover every place, the explicit explorer's
+        table, finals and exactness are those of the automaton read off
+        ``km_graph``'s partial graph; other nets still take ``km_graph``."""
+        rng = random.Random(64)
+        covered = [0, 0]
+        for i in range(3_000):
+            inst = random_net(rng, bpp=i % 2 == 0)
+            net = inst.net
+            if len({p for y in _semiflows(net) for p, _w in y}) < len(net.places):
+                continue
+            covered[i % 2] += 1
+            for budget in (5, 2_000):
+                graph = km_graph(net, inst.initial, max_nodes=budget, partial=True)
+                table = {q: {} for q in range(len(graph.nodes))}
+                for src, name, dst in graph.edges:
+                    table[src][net.arcs[name][0], dst] = table[src][EPSILON, dst] = None
+                result = dc_fsa_pn(inst, budget)
+                assert result.fsa.out_edges() == {q: tuple(e) for q, e in table.items()}
+                assert result.fsa.finals == set(graph.covering_nodes(inst.final))
+                assert result.exact == graph.complete, (i, budget)
+        assert min(covered) >= 150, covered
+
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return km_graph(*args, **kwargs)
+
+        monkeypatch.setattr(closures, "km_graph", recorded)
+        dc_fsa_pn(bpp_power_instance(2))
+        assert calls == []
+        assert dc_fsa_pn(rackoff_counterexample()).exact and len(calls) == 1
 
 
 class TestOutEdgesHandOver:
@@ -345,7 +429,7 @@ class TestOutEdgesHandOver:
         explorers = (
             lambda inst: k_bounded_fsa(inst, 3, 2_000),
             lambda inst: reachability_fsa(inst, 3, 2_000),
-            lambda inst: dc_fsa(inst, 2_000).fsa,
+            lambda inst: dc_fsa_pn(inst, 2_000).fsa,
             lambda inst: uc_fsa(inst, max_states=2_000).fsa,
         )
         checked = 0
@@ -391,16 +475,14 @@ class TestTableBackedAutomaton:
         builders = {
             "k_bounded_fsa": lambda inst: k_bounded_fsa(inst, 3, 2_000),
             "reachability_fsa": lambda inst: reachability_fsa(inst, 3, 2_000),
-            "dc_fsa_bpp": lambda inst: dc_fsa_bpp(inst, 2_000),
             "uc_fsa": lambda inst: uc_fsa(inst, max_states=2_000).fsa,
             "dc_fsa_pn": lambda inst: dc_fsa_pn(inst, 2_000).fsa,
+            "dc_fsa_pn partial": lambda inst: dc_fsa_pn(inst, 5).fsa,
         }
         checked = dict.fromkeys(builders, 0)
         for i in range(60):
             inst = random_net(rng, bpp=i % 2 == 0)
             for name, build in builders.items():
-                if name == "dc_fsa_bpp" and not is_bpp(inst.net):
-                    continue
                 try:
                     a = build(inst)
                 except BudgetExceeded:
@@ -435,7 +517,9 @@ class TestTableBackedAutomaton:
 
 # The explorers before they numbered their states: transitions fired by name
 # over place names, the whole marking clamped after each cutoff step, and
-# the automaton's states the explored markings themselves.
+# the automaton's states the explored markings themselves.  The cutoff
+# explorer (``_reference_dc_fsa_bpp``) is the reference downward closure of
+# communication-free nets, which the library no longer builds this way.
 
 
 def _reference_om_fire(net, m, name):
@@ -500,6 +584,75 @@ def _reference_dc_fsa_bpp(inst, max_states):
         max_states,
         "cutoff abstraction states",
     )
+
+
+def _nfa_included(a, b):
+    """L(a) <= L(b), searching a's states paired with b's macrostates, so
+    that only b is determinized."""
+    step, close = _step_fn(b)
+    out = a.out_edges()
+    start = (a.initial, close(frozenset([b.initial])))
+    seen = {start}
+    stack = [start]
+    while stack:
+        q, macro = stack.pop()
+        if q in a.finals and not macro & b.finals:
+            return False
+        for x, q2 in out.get(q, ()):
+            nxt = (q2, macro if x == EPSILON else step(macro, x))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return True
+
+
+def _ideals(a):
+    """Products whose union is L(a), for an automaton whose every edge has a
+    silent twin: one per path of strongly connected components from the
+    initial state's to a final state's.  Each component contributes the star
+    of the letters on its internal edges, each step between components
+    (x + eps) for each letter it can read, or nothing if it reads none."""
+    out = a.out_edges()
+    number = {q: i for i, q in enumerate(a.states)}
+    found = components([[number[q2] for _x, q2 in out.get(q, ())] for q in number])
+    comp = [0] * len(number)
+    for c, members in enumerate(found):
+        for i in members:
+            comp[i] = c
+    internal = [set() for _ in found]
+    steps = [{} for _ in found]  # component -> the letters its edges read
+    for q, i in number.items():
+        c = comp[i]
+        for x, q2 in out.get(q, ()):
+            d = comp[number[q2]]
+            letters = internal[c] if d == c else steps[c].setdefault(d, set())
+            if x != EPSILON:
+                letters.add(x)
+    finals = {comp[number[q]] for q in a.finals}
+
+    def paths(c, atoms):
+        atoms += (Star(frozenset(internal[c])),)
+        if c in finals:
+            yield Product(atoms)
+        for d, letters in steps[c].items():
+            for x in letters or [None]:
+                yield from paths(d, atoms if x is None else atoms + (OptionalLetter(x),))
+
+    return paths(comp[number[a.initial]], ())
+
+
+def _same_downward_closed_language(small, big):
+    """L(small) = L(big) for two automata whose every edge has a silent twin.
+
+    ``fsa.equivalent`` determinizes both sides, which takes seconds on a
+    reference automaton of 2,000 states.  Here only ``small`` is broken into
+    products, each checked on ``big`` by ``ideal_inclusion``, and only
+    ``small`` is determinized for the other inclusion."""
+    for a in (small, big):
+        for q, edges in a.out_edges().items():
+            assert {(EPSILON, q2) for _x, q2 in edges} <= set(edges), q
+    included = ideal_inclusion(big)
+    return all(map(included, _ideals(small))) and _nfa_included(big, small)
 
 
 def _reference_k_bounded_fsa(inst, k, max_states):
@@ -572,24 +725,6 @@ class TestNumberedExploration:
     """The explorers number their states in discovery order and fire
     index-compiled arcs; the automata they build are the marking-keyed
     reference automata renamed, and they overrun the same budgets."""
-
-    def test_dc_fsa_bpp_matches_the_reference(self):
-        rng = random.Random(2027)
-        built = with_omega = overruns = 0
-        for _ in range(1_500):
-            inst = random_net(
-                rng, max_places=4, max_transitions=4, max_weight=2, bpp=True
-            )
-            ref = _same_up_to_numbering(
-                lambda: dc_fsa_bpp(inst, 3_000),
-                lambda: _reference_dc_fsa_bpp(inst, 3_000),
-            )
-            if ref is None:
-                overruns += 1
-                continue
-            built += 1
-            with_omega += any(OMEGA in q for q in ref.states)
-        assert built >= 1_100 and with_omega >= 300 and overruns >= 300
 
     def test_k_bounded_and_reachability_match_the_reference(self):
         rng = random.Random(2028)

@@ -1,6 +1,6 @@
 import pytest
 
-from covlang.closures import dc_fsa_bpp
+from covlang.closures import dc_fsa_pn
 from covlang.errors import InfeasibleParams
 from covlang.families import (
     FamilyParams,
@@ -56,7 +56,7 @@ class TestPowerFamily:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_closure_sizes_grow_exponentially(self, n):
         inst = bpp_power_instance(n)
-        dc = dc_fsa_bpp(inst)
+        dc = dc_fsa_pn(inst).fsa
         limit = 2**n
         expected = make_fsa(
             ("a",),

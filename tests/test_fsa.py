@@ -21,7 +21,7 @@ from covlang.fsa import (
     trim_coaccessible,
     word_fsa,
 )
-from covlang.closures import dc_fsa_bpp, uc_fsa_bpp
+from covlang.closures import dc_fsa_pn, uc_fsa_bpp
 from covlang.families import bpp_power_instance
 from covlang.nets import EPSILON, subword
 
@@ -111,9 +111,7 @@ class TestDecide:
             assert equivalent(a, saturate_up(a))
 
     def test_membership_in_power_dc(self, power2):
-        from covlang.closures import dc_fsa_bpp
-
-        dc = dc_fsa_bpp(power2)
+        dc = dc_fsa_pn(power2).fsa
         assert accepts(dc, ("a",) * 4)
         assert not accepts(dc, ("a",) * 5)
 
@@ -182,7 +180,7 @@ class TestMinimalDfaSize:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_power_family_closed_forms(self, n):
         inst = bpp_power_instance(n)
-        assert minimal_dfa_size(dc_fsa_bpp(inst)) == 2**n + 2
+        assert minimal_dfa_size(dc_fsa_pn(inst).fsa) == 2**n + 2
         assert minimal_dfa_size(uc_fsa_bpp(inst)) == 2**n + 1
 
 

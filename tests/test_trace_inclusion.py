@@ -5,7 +5,7 @@ from operator import ge
 import pytest
 
 from corpus import random_fsa, random_net
-from covlang.closures import dc_fsa
+from covlang.closures import dc_fsa_pn
 from covlang.errors import BudgetExceeded
 from covlang.families import ackermann_instance, ackermann_value, bpp_power_instance
 from covlang.fsa import Fsa, _step_fn, make_fsa, trim_coaccessible, word_fsa
@@ -384,11 +384,8 @@ class TestEndLetterOnTheAutomaton:
         for i in range(1_000):
             inst = random_net(rng, bpp=i % 2 == 0)
             automata = [random_fsa(rng, alphabet=inst.net.alphabet, max_states=4)]
-            try:
-                closure = dc_fsa(inst, 200)
-            except BudgetExceeded:
-                closure = None
-            if closure is not None and closure.exact:
+            closure = dc_fsa_pn(inst, 200)
+            if closure.exact:
                 automata.append(closure.fsa)
                 closures += 1
             for a in automata:
