@@ -11,11 +11,11 @@ Downward closures (``dc_fsa_pn``) come from the coverability graph on every net.
 
 One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
 ``reachability_fsa`` over markings within k steps, and ``dc_fsa_pn`` over
-reachable markings when P-semiflows bound every place; elsewhere ``dc_fsa_pn``
-reads the accelerated search's graph (``km_graph``).  The explorer numbers
-the states 0, 1, ... in the order it discovers them and hands the automaton
-its numbered table of edges; the automaton keeps only the numbers, not the
-markings, and no transition triples.
+reachable markings on conservative nets (``reach.conservative``); elsewhere
+``dc_fsa_pn`` reads the accelerated search's graph (``km_graph``).  The
+explorer numbers the states 0, 1, ... in the order it discovers them and
+hands the automaton its numbered table of edges; the automaton keeps only
+the numbers, not the markings, and no transition triples.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import itemgetter
 from .errors import BudgetExceeded, NotBpp
 from .fsa import Fsa, saturate_up
 from .nets import EPSILON, NetInstance, fire, is_bpp, subword, sync_with_fsa
-from .reach import _semiflows, coverable, km_graph, om_fire
+from .reach import conservative, coverable, covering, km_graph, om_fire
 
 #: Materializing integers beyond this many bits is pointless for desk work.
 MAX_VALUE_BITS = 10**7
@@ -343,15 +343,13 @@ def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:
     so the language is downward closed as read and ``sre_in_dc_pn`` checks
     every product of an expression on this one automaton.  Exact when the
     graph completes within ``max_nodes`` nodes; past that, new nodes are
-    dropped, which under-approximates.  If the minimal-support P-semiflows
-    cover every place, each y . m is the same on every reachable marking, so
-    no marking lies strictly above one it was reached from and no
-    acceleration fires (Memmi-Roucairol 1980, Lautenbach 1987): the graph is
-    the reachability graph, which the explicit explorer builds.
+    dropped, which under-approximates.  On a conservative net
+    (``reach.conservative``: the minimal-support P-semiflows cover every
+    place) no acceleration fires, so the graph is the reachability graph,
+    which the explicit explorer builds.
     """
     net, arcs = inst.net, inst.net.arcs
-    if len({i for y in _semiflows(net) for i, _v in y}) == len(net.places):
-        final = [(i, c) for i, c in enumerate(inst.final.counts) if c]
+    if conservative(net):
 
         def successors(m):
             for label, pre, post in arcs.values():
@@ -360,17 +358,11 @@ def dc_fsa_pn(inst: NetInstance, max_nodes: int = 100_000) -> ClosureResult:
                     yield label, target
                     yield EPSILON, target
 
-        def accepting(m):
-            for i, c in final:
-                if m[i] < c:
-                    return False
-            return True
-
         fsa, complete = _explore(
             net.alphabet,
             tuple(inst.initial.counts),
             successors,
-            accepting,
+            covering(inst.final),
             max_nodes,
             "karp-miller nodes",
             partial=True,

@@ -1,20 +1,24 @@
 """Decision engines: backward coverability, Karp-Miller graph, simultaneous
-unboundedness, membership oracles, and the bounded brute-force explorer used
-as a test oracle.
+unboundedness, forward coverability, membership oracles, and the bounded
+brute-force explorer used as a test oracle.
 
 Omega is ``math.inf`` (``OMEGA``) in every omega-marking, so a dominance
 test is Python's own ``>=``.  One accelerated search over omega-markings
 serves ``km_graph`` (the whole graph), ``simultaneously_unbounded``
 (keeps only the cover set and stops at the first node that is omega on every
-target place) and ``trace_inclusion.silent_closure`` (silent transitions
-only, from several roots).  Its dominance tests rest on one fact: a marking
+target place), ``forward_cover`` on nets that are not conservative (the
+cover set again, stopping at the first node that covers the final marking)
+and ``trace_inclusion.silent_closure`` (silent transitions only, from
+several roots).  Its dominance tests rest on one fact: a marking
 strictly below another has a strictly lower rank (omega count, then finite
 token sum) and a support inside the other's.  Each node keeps its rank, its
 support bitmask and a pointer to its nearest proper ancestor of lower rank,
 so acceleration walks only ancestors that can lie below the successor.  The
 cover set and the antichain of ``trace_inclusion._maximal`` are indexed by
 support (``_SupportIndex``): one bitmask per place of the markings holding a
-token or omega there.
+token or omega there.  On a conservative net, where the minimal-support
+P-semiflows cover every place (``conservative``) and no acceleration fires,
+``forward_cover`` is a breadth-first search over concrete markings instead.
 
 Backward coverability (``coverable``, and ``member`` through it) saturates an
 antichain of minimal markings from the final marking.  The antichain
@@ -484,6 +488,74 @@ def _semiflows(net: PetriNet) -> list:
             if not any(s != support and s & support == s for s in supports)
         ]
     return [tuple((i, v) for i, v in enumerate(y) if v) for _c, y, _s in rows]
+
+
+def conservative(net: PetriNet) -> bool:
+    """The minimal-support P-semiflows of the net cover every place.
+
+    Their sum y is then positive on every place, and y . m is the same on
+    every reachable marking, so no marking lies strictly above one it was
+    reached from: no acceleration fires, and finitely many markings are
+    reachable (Memmi-Roucairol 1980, Lautenbach 1987).  ``dc_fsa_pn`` and
+    ``forward_cover`` explore such nets over concrete markings.
+    """
+    return len({i for y in _semiflows(net) for i, _v in y}) == len(net.places)
+
+
+def covering(final: Marking):
+    """The test that an omega-marking covers ``final``; it compares only the
+    places where ``final`` is not zero."""
+    need = [(i, c) for i, c in enumerate(final.counts) if c]
+
+    def covers(m) -> bool:
+        for i, c in need:
+            if m[i] < c:
+                return False
+        return True
+
+    return covers
+
+
+def forward_cover(
+    net: PetriNet, m0: Marking, final: Marking, names, max_nodes: int = 100_000
+) -> bool:
+    """Some firing sequence of the named transitions leads from m0 to a
+    marking that covers ``final``; the search stops at the first such marking.
+
+    On a conservative net (``conservative``) it is a breadth-first search
+    over concrete markings with a visited set.  Elsewhere it is the
+    accelerated search that keeps only the cover set (``_accelerated_search``
+    with a stop predicate); its quadratic cover-set test would gain nothing
+    on a conservative net, whose reachable markings can be pairwise
+    incomparable.  A node beyond ``max_nodes`` raises
+    BudgetExceeded("karp-miller nodes"); in the breadth-first search the
+    covering marking counts as a node, so it needs as many nodes as
+    ``dc_fsa_pn``'s reachability graph has when that marking comes last.
+    """
+    covers = covering(final)
+    start = tuple(m0.counts)
+    if covers(start):
+        return True
+    if not conservative(net):
+        return _accelerated_search(
+            net, [start], names, max_nodes, "karp-miller nodes", stop=covers
+        ).found
+    steps = [net.arcs[name][1:] for name in names]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        m = queue.popleft()
+        for pre, post in steps:
+            succ = om_fire(m, pre, post)
+            if succ is None or succ in seen:
+                continue
+            if len(seen) >= max_nodes:
+                raise BudgetExceeded("karp-miller nodes", max_nodes)
+            if covers(succ):
+                return True
+            seen.add(succ)
+            queue.append(succ)
+    return False
 
 
 def coverable(inst: NetInstance, max_nodes: int = 100_000):

@@ -19,6 +19,13 @@ latter's end-lettered automaton is a step function over the given automaton,
 not a copy.  A successor from which no letter steps, such as the end-letter
 sink, is a dead end: it only needs its letter to be enabled, and no closure is
 built.
+
+``is_closed`` asks for upward closure by containment of ``uc_fsa``'s
+automaton.  Downward closure first asks whether the empty word, the shortest
+word of all, is in L: if not, L is downward closed iff L is empty, and
+``reach.forward_cover`` decides both questions with no automaton.  Only
+when the empty word is in L is ``dc_fsa_pn``'s automaton built and checked
+for containment.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .nets import (
     PetriNet,
     append_final_letter,
 )
-from .reach import _accelerated_search, _rank, _SupportIndex, om_fire
+from .reach import _accelerated_search, _rank, _SupportIndex, forward_cover, om_fire
 
 
 def _maximal(markings, ranks=None) -> tuple:
@@ -134,8 +141,9 @@ def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000)
 
 def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int, trim=None):
     """Breadth-first trace tree of an automaton, given by its start
-    macrostate, its ``step`` function and its sorted ``letters``, against the
-    net from m0; returns what ``traces_included`` returns.
+    macrostate, its ``step`` function and its ``letters`` in the order they
+    are tried, against the net from m0; returns what ``traces_included``
+    returns.
 
     A successor from which no letter steps is a dead end: it has no children,
     and no ancestor can subsume it, since an ancestor has children.  It only
@@ -217,7 +225,9 @@ def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000)
     trimmed so that acceptance stays reachable, is a step function over ``a``
     rather than a copy of it: a letter step keeps the co-accessible states of
     ``a``'s step, the fresh letter leads from a macrostate that holds a final
-    state to ``_SINK``, and it takes its sorted place among the letters.
+    state to ``_SINK``, and it is tried before the sorted letters of ``a``:
+    at every node the search tries to end the word before it extends it,
+    whatever letters sort before the fresh one.
 
     The co-accessible states are computed at the first letter step that
     reaches some state, or at once when the start macrostate holds no final
@@ -247,7 +257,7 @@ def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000)
         start = trim(start)
         if not start:
             return True, None
-    letters = sorted(set(a.alphabet) | {fresh})
+    letters = [fresh, *sorted(set(a.alphabet))]
     lifted = append_final_letter(inst, fresh)
     ok, trace = _search(start, step, letters, lifted.net, lifted.initial, max_nodes, trim)
     if ok:
@@ -288,6 +298,14 @@ def is_closed(
     exact closure automaton in the language.  The upward closure is exact on
     every net; the downward one (``dc_fsa_pn``) wherever the coverability
     graph completes.  Unknown, naming the budget, when max_nodes runs out.
+
+    Downward, the empty word comes first.  It is a subword of every word, so
+    it lies in dc(L) exactly when L is not empty, and no word is shorter.
+    When it is not in L, L is downward closed iff L is empty, and the answer
+    is "yes" or "no" with the counterexample ().  Two stop-early forward
+    searches (``reach.forward_cover``) decide this, over the silent
+    transitions and then over all of them; no automaton is built.  Their
+    budget is the node budget of ``dc_fsa_pn``.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -295,6 +313,13 @@ def is_closed(
         if direction == "up":
             result = uc_fsa(inst, max_states=max_nodes)
         else:
+            net, m0, final = inst.net, inst.initial, inst.final
+            silent = [t.name for t in net.transitions if t.label == EPSILON]
+            if not forward_cover(net, m0, final, silent, max_nodes):
+                names = [t.name for t in net.transitions]
+                if forward_cover(net, m0, final, names, max_nodes):
+                    return IsClosedResult("no", counterexample=())
+                return IsClosedResult("yes")
             result = dc_fsa_pn(inst, max_nodes)
             if not result.exact:
                 raise BudgetExceeded("karp-miller nodes", max_nodes)

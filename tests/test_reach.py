@@ -9,6 +9,7 @@ import pytest
 
 from corpus import random_fsa, random_net, random_product
 from covlang import reach
+from covlang.closures import dc_fsa_pn
 from covlang.errors import AlphabetMismatch, BudgetExceeded
 from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 from covlang.nets import (
@@ -33,7 +34,9 @@ from covlang.reach import (
     _semiflows,
     _Tree,
     brute_force_language,
+    conservative,
     coverable,
+    forward_cover,
     km_graph,
     longest_run_length,
     member,
@@ -145,6 +148,41 @@ class TestSemiflowPruning:
         inst = bpp_power_instance(5)
         assert member(("a",) * 32, inst, "down")
         assert member(("a",) * 31, inst, "down")
+
+
+class TestForwardCover:
+    def test_agrees_with_backward_coverability(self):
+        """Over all transitions it decides coverability; over the silent
+        ones, whether the empty word is in L."""
+        rng = random.Random(2031)
+        seen = dict.fromkeys(
+            ((shape, found) for shape in (True, False) for found in (True, False)), 0
+        )
+        for i in range(600):
+            inst = random_net(
+                rng, max_places=4, max_transitions=5, max_weight=2, bpp=i % 2 == 0,
+                eps_ratio=0.5,
+            )
+            net, m0, final = inst.net, inst.initial, inst.final
+            names = [t.name for t in net.transitions]
+            silent = [t.name for t in net.transitions if t.label == EPSILON]
+            found = forward_cover(net, m0, final, names)
+            assert found == coverable(inst)[0], i
+            assert forward_cover(net, m0, final, silent) == member((), inst, "exact"), i
+            seen[conservative(net), found] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 10])
+    def test_power_budget_boundary_is_the_closure_graph(self, n):
+        # 2^n + 2 reachable markings, the covering one last
+        inst = bpp_power_instance(n)
+        net = inst.net
+        names = [t.name for t in net.transitions]
+        assert conservative(net)
+        assert forward_cover(net, inst.initial, inst.final, names, 2**n + 2)
+        with pytest.raises(BudgetExceeded, match=f"karp-miller nodes budget of {2**n + 1} "):
+            forward_cover(net, inst.initial, inst.final, names, 2**n + 1)
+        assert dc_fsa_pn(inst, 2**n + 2).exact and not dc_fsa_pn(inst, 2**n + 1).exact
 
 
 class TestKmGraph:

@@ -19,8 +19,18 @@ from covlang.nets import (
     fire,
 )
 from covlang import trace_inclusion
-from covlang.reach import OMEGA, _rank, _Tree, member, om_accelerate, om_fire
+from covlang.reach import (
+    OMEGA,
+    _rank,
+    _Tree,
+    conservative,
+    coverable,
+    member,
+    om_accelerate,
+    om_fire,
+)
 from covlang.trace_inclusion import (
+    IsClosedResult,
     _maximal,
     is_closed,
     net_has_trace,
@@ -329,7 +339,9 @@ def _materialised_regular_inclusion(a, inst, max_nodes):
     """Reference for ``regular_included_in_lang``: the end-letter reduction
     on copies.  Trim ``a``, build a new automaton that appends the fresh
     letter after acceptance, search it with ``traces_included`` against the
-    lifted net, then extend the trace breadth-first to acceptance."""
+    lifted net, then extend the trace breadth-first to acceptance.  The
+    letters it is given sort after the fresh letter, so sorting tries the
+    fresh letter first, as the library does on every alphabet."""
     fresh = "#"
     while fresh in set(a.alphabet) | set(inst.net.alphabet):
         fresh += "#"
@@ -398,29 +410,27 @@ class TestEndLetterOnTheAutomaton:
         assert closures >= 300 and compared >= 2_600 and overruns >= 40
 
     @pytest.mark.parametrize("n", [1, 6, 12])
-    def test_power_down_builds_only_the_closure_automaton(self, n, monkeypatch):
-        built = []
-        post_init = Fsa.__post_init__
-
-        def counted(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(Fsa, "__post_init__", counted)
-        result = is_closed(bpp_power_instance(n), "down")
-        assert result.answer == "no" and result.counterexample == ()
-        assert len(built) == 1
-
-    @pytest.mark.parametrize("n", [1, 6, 12])
     def test_power_down_is_decided_before_trimming(self, n, monkeypatch):
         # the end letter is not enabled at the root: the answer needs no
         # co-accessible states
         def refuse(a):
             raise AssertionError("the automaton was trimmed")
 
+        inst = bpp_power_instance(n)
+        closure = dc_fsa_pn(inst).fsa
         monkeypatch.setattr(trace_inclusion, "_coaccessible", refuse)
-        result = is_closed(bpp_power_instance(n), "down")
-        assert result.answer == "no" and result.counterexample == ()
+        assert regular_included_in_lang(closure, inst) == (False, ())
+
+    @pytest.mark.parametrize("letter", ["!", "b"])
+    def test_the_end_letter_is_tried_first(self, letter):
+        # L = {a}; the automaton accepts the empty word and the one-letter
+        # word of a letter that the net never fires.  "!" sorts before the
+        # end letter "#", "b" after it; the empty word is the shorter
+        # counterexample either way.
+        net = PetriNet(("a", letter), ("p", "q"), (Transition.make("t", "a", {"p": 1}, {"q": 1}),))
+        inst = NetInstance(net, Marking.of(net, {"p": 1}), Marking.of(net, {"q": 1}))
+        a = make_fsa(("a", letter), (0, 1), {(0, letter, 1)}, 0, {0, 1})
+        assert regular_included_in_lang(a, inst) == (False, ())
 
 
 def _chain_fsa(length, all_final):
@@ -455,6 +465,121 @@ class TestAckermann:
         inst = ackermann_instance(2, 1)
         assert is_closed(inst, direction, max_nodes=enough - 1).answer == "unknown"
         assert is_closed(inst, direction, max_nodes=enough).answer != "unknown"
+
+
+def _built_automata(monkeypatch) -> list:
+    """Every ``Fsa`` built from now on, in order."""
+    built = []
+    post_init = Fsa.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Fsa, "__post_init__", counted)
+    return built
+
+
+def _closure_route_down(inst, max_nodes):
+    """``is_closed(inst, "down")`` as it was decided before the empty-word
+    lemma, kept as the reference: build the whole downward-closure automaton,
+    then check its containment in the language."""
+    try:
+        result = dc_fsa_pn(inst, max_nodes)
+        if not result.exact:
+            raise BudgetExceeded("karp-miller nodes", max_nodes)
+        ok, word = regular_included_in_lang(result.fsa, inst, max_nodes)
+    except BudgetExceeded as err:
+        return IsClosedResult("unknown", detail=str(err))
+    return IsClosedResult("yes") if ok else IsClosedResult("no", counterexample=word)
+
+
+def _with_pump(rng, inst):
+    """The instance with one more transition that doubles a token on a
+    place, one that the initial marking holds when there is one: that place
+    is then unbounded."""
+    net = inst.net
+    marked = [p for p, c in zip(net.places, inst.initial.counts) if c] or list(net.places)
+    place = rng.choice(marked)
+    label = rng.choice((EPSILON, *net.alphabet))
+    pump = Transition.make("pump", label, {place: 1}, {place: 2})
+    pumped = PetriNet(net.alphabet, net.places, net.transitions + (pump,))
+    return NetInstance(pumped, inst.initial, inst.final)
+
+
+class TestDownwardByTheEmptyWord:
+    def test_matches_the_closure_route(self):
+        """The differential gate against ``_closure_route_down`` on 1,500
+        seeded nets: the seed-2027 communication-free corpus, nets with
+        synchronization, and nets with a pumped, unbounded place, each at a
+        budget of 4, 40 or 4,000 nodes.  Wherever the reference answers, the
+        verdict and the counterexample are the same; where it does not, an
+        answer is checked by backward coverability."""
+        draws = {
+            "communication-free": random.Random(2027),
+            "synchronizing": random.Random(2028),
+            "pumped": random.Random(2029),
+        }
+        seen = dict.fromkeys(
+            (
+                "empty word in L", "empty word outside L", "L empty",
+                "reference unknown", "answered past the reference",
+                "empty word outside L, conservative", "empty word outside L, not conservative",
+            ),
+            0,
+        )
+        for i in range(1_500):
+            kind = list(draws)[i % 3]
+            rng = draws[kind]
+            inst = random_net(
+                rng, max_places=4, max_transitions=4, max_weight=2,
+                bpp=kind == "communication-free",
+            )
+            if kind == "pumped":
+                inst = _with_pump(rng, inst)
+            max_nodes = (4, 40, 4_000)[i // 3 % 3]
+            want = _closure_route_down(inst, max_nodes)
+            got = is_closed(inst, "down", max_nodes)
+            empty_word_in_l = member((), inst, "exact")
+            if not empty_word_in_l:
+                shape = "conservative" if conservative(inst.net) else "not conservative"
+                seen[f"empty word outside L, {shape}"] += 1
+            if want.answer != "unknown":
+                assert got == want, (i, kind, max_nodes)
+            else:
+                seen["reference unknown"] += 1
+                seen["answered past the reference"] += got.answer != "unknown"
+            if got.answer == "unknown":
+                continue
+            if empty_word_in_l:
+                seen["empty word in L"] += 1
+            elif got.answer == "no":
+                assert got.counterexample == () and coverable(inst)[0], (i, kind)
+                seen["empty word outside L"] += 1
+            else:
+                assert not coverable(inst)[0], (i, kind)
+                seen["L empty"] += 1
+        assert min(seen.values()) >= 15, seen
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_power_down_builds_no_automaton(self, n, monkeypatch):
+        built = _built_automata(monkeypatch)
+        result = is_closed(bpp_power_instance(n), "down")
+        assert result.answer == "no" and result.counterexample == ()
+        assert built == []
+
+    def test_empty_word_in_language_builds_the_closure_automaton(self, monkeypatch):
+        inst = ackermann_instance(2, 1)
+        assert member((), inst, "exact")
+        built = _built_automata(monkeypatch)
+        assert is_closed(inst, "down").answer == "yes"
+        assert len(built) == 1
+
+    def test_power_17_stays_unknown_at_the_closure_budget(self):
+        result = is_closed(bpp_power_instance(17), "down", 100_000)
+        assert result == IsClosedResult(
+            "unknown", detail="karp-miller nodes budget of 100000 exceeded"
+        )
 
 
 class TestIsClosed:
