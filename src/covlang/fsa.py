@@ -1,11 +1,10 @@
 """Finite automata with silent edges, closure saturation, and exact decisions.
 
-An automaton keeps its edges as a table from each state to its (label,
-target) pairs (``Fsa.out_edges``).  The explorers of ``closures`` hand over
-their numbered table (``Fsa.from_out_edges``), and the decisions, trimming
-and determinization here read the table.  The frozenset of triples in
-``Fsa.transitions`` is built only when something reads it, such as printing
-or synchronizing with a net.
+An automaton stores its edges once: a table from each state to the tuple of
+its distinct (label, target) pairs (``Fsa.out_edges``), handed over by the
+explorers of ``closures`` (``Fsa.from_out_edges``) or grouped from triples by
+``make_fsa``.  Everything here reads the table; ``Fsa.transitions``, the
+frozenset of triples, is a view built on first read.
 
 Decision queries (emptiness, membership, inclusion, equivalence) run an
 on-the-fly subset construction with memoized steps and epsilon closures over
@@ -22,70 +21,50 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import AlphabetMismatch
 from .nets import EPSILON, Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Fsa:
     """A finite automaton whose edges carry a letter or EPSILON.
 
-    The edges come in two forms, each built from the other on first read:
-    ``transitions``, the frozenset of (state, label, target) triples, and
-    ``out_edges()``, the table from each state to its (label, target) pairs.
-    The constructor and ``make_fsa`` take the triples; ``from_out_edges``
-    takes the table and builds no triple until something reads
-    ``transitions``.  Equality, hashing and ``repr`` read the triples.
+    Its states are the keys of the table ``out_edges()``, which maps each
+    state to the tuple of its distinct (label, target) pairs, () for a state
+    without out-edges.  ``from_out_edges`` is the one constructor.
+    ``transitions``, the frozenset of (state, label, target) triples, is
+    built on first read; equality and hashing read it, so the order of a
+    row's pairs does not matter.
     """
 
     alphabet: tuple[str, ...]
     states: frozenset
-    transitions: frozenset  # triples (state, letter-or-EPSILON, state)
     initial: object
     finals: frozenset
+    _out: dict
 
     def __post_init__(self):
         if self.initial not in self.states:
             raise ValueError("initial state not declared")
         if not self.finals <= self.states:
             raise ValueError("final states not declared")
-        letters = set(self.alphabet)
-        table = self.__dict__.get("_out")
-        if table is None:
-            for q, a, q2 in self.transitions:
-                if q not in self.states or q2 not in self.states:
-                    raise ValueError("transition endpoint not declared")
-                if a != EPSILON and a not in letters:
-                    raise ValueError(f"undeclared letter {a!r}")
-            return
         # a table's sources are its keys, the states themselves
-        if not self.states.issuperset(map(itemgetter(1), chain.from_iterable(table.values()))):
+        rows = self._out.values()
+        if not self.states.issuperset(map(itemgetter(1), chain.from_iterable(rows))):
             raise ValueError("transition endpoint not declared")
-        labels = set(map(itemgetter(0), chain.from_iterable(table.values())))
-        labels.discard(EPSILON)
-        undeclared = sorted(labels - letters)
+        labels = set(map(itemgetter(0), chain.from_iterable(rows)))
+        undeclared = labels.difference([EPSILON], self.alphabet)
         if undeclared:
-            raise ValueError(f"undeclared letter {undeclared[0]!r}")
-
-    def __getattr__(self, name):
-        """Only reached for an attribute that is not set: the triples of an
-        automaton built by ``from_out_edges``, made and kept on first read."""
-        table = self.__dict__.get("_out")
-        if name != "transitions" or table is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        triples = frozenset((q, x, q2) for q, edges in table.items() for x, q2 in edges)
-        object.__setattr__(self, "transitions", triples)
-        return triples
+            raise ValueError(f"undeclared letter {min(undeclared)!r}")
 
     @classmethod
     def from_out_edges(cls, alphabet, table: dict, initial, finals) -> Fsa:
         """Automaton whose states are the keys of ``table``, a dict from each
-        state to a tuple of its distinct (label, target) pairs.  The table
-        becomes the ``out_edges`` cache and is validated in place; the
-        triples of ``transitions`` are built only when something reads them."""
+        state to a tuple of its distinct (label, target) pairs, kept as is."""
         a = cls.__new__(cls)
         a.__dict__.update(
             alphabet=tuple(alphabet),
@@ -97,31 +76,38 @@ class Fsa:
         a.__post_init__()
         return a
 
-    def out_edges(self):
-        table = self.__dict__.get("_out")
-        if table is None:
-            table = {}
-            for q, a, q2 in self.transitions:
-                table.setdefault(q, []).append((a, q2))
-            object.__setattr__(self, "_out", table)
-        return table
+    def out_edges(self) -> dict:
+        return self._out
+
+    @cached_property
+    def transitions(self) -> frozenset:
+        """The (state, label, target) triples of the table."""
+        return frozenset((q, x, q2) for q, edges in self._out.items() for x, q2 in edges)
+
+    _key = property(attrgetter("alphabet", "states", "transitions", "initial", "finals"))
+
+    def __eq__(self, other):
+        return isinstance(other, Fsa) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
 
 def make_fsa(alphabet, states, transitions, initial, finals) -> Fsa:
-    return Fsa(
-        tuple(alphabet),
-        frozenset(states),
-        frozenset(tuple(t) for t in transitions),
-        initial,
-        frozenset(finals),
-    )
+    """The automaton of (state, label, target) triples; a repeated one counts once."""
+    rows = {q: [] for q in states}
+    for q, x, q2 in dict.fromkeys(map(tuple, transitions)):
+        if q not in rows:
+            raise ValueError("transition endpoint not declared")
+        rows[q].append((x, q2))
+    return Fsa.from_out_edges(alphabet, {q: tuple(e) for q, e in rows.items()}, initial, finals)
 
 
 def word_fsa(alphabet, w: Word) -> Fsa:
     """Chain automaton accepting exactly the word w."""
-    states = list(range(len(w) + 1))
-    trans = [(i, a, i + 1) for i, a in enumerate(w)]
-    return make_fsa(alphabet, states, trans, 0, {len(w)})
+    table = {i: ((x, i + 1),) for i, x in enumerate(w)}
+    table[len(w)] = ()
+    return Fsa.from_out_edges(alphabet, table, 0, [len(w)])
 
 
 def empty_fsa(alphabet) -> Fsa:
@@ -130,14 +116,24 @@ def empty_fsa(alphabet) -> Fsa:
 
 def saturate_up(a: Fsa) -> Fsa:
     """Accept the upward closure: self-loop every state on every letter."""
-    loops = {(q, x, q) for q in a.states for x in a.alphabet}
-    return Fsa(a.alphabet, a.states, a.transitions | loops, a.initial, a.finals)
+    table = {}
+    for q, row in a.out_edges().items():
+        pairs = dict.fromkeys(row)
+        for x in a.alphabet:
+            pairs[x, q] = None
+        table[q] = tuple(pairs)
+    return Fsa.from_out_edges(a.alphabet, table, a.initial, a.finals)
 
 
 def saturate_down(a: Fsa) -> Fsa:
     """Accept the downward closure: add a silent copy of every edge."""
-    skips = {(q, EPSILON, q2) for q, _, q2 in a.transitions}
-    return Fsa(a.alphabet, a.states, a.transitions | skips, a.initial, a.finals)
+    table = {}
+    for q, row in a.out_edges().items():
+        pairs = dict.fromkeys(row)
+        for _x, q2 in row:
+            pairs[EPSILON, q2] = None
+        table[q] = tuple(pairs)
+    return Fsa.from_out_edges(a.alphabet, table, a.initial, a.finals)
 
 
 def _step_fn(a: Fsa):
@@ -446,37 +442,27 @@ def enumerate_words(a: Fsa, k: int) -> set:
 
 def _coaccessible(a: Fsa) -> frozenset:
     """States from which a final state is reachable: one backward search
-    over ``out_edges``.  A table numbered 0..n-1 in order, as the explorers
-    build it, keeps its predecessors and marks in lists."""
+    over ``out_edges``, on the states' positions in the table.  In a table
+    numbered 0..n-1 in order, as the explorers build it, a state is its own
+    position."""
     out = a.out_edges()
-    n = len(out)
-    if n == len(a.states) and list(out) == list(range(n)):
-        preds = [[] for _ in range(n)]
-        for q, edges in enumerate(out.values()):
-            for _x, q2 in edges:
-                preds[q2].append(q)
-        alive = [False] * n
-        stack = list(a.finals)
-        for q in stack:
-            alive[q] = True
-        while stack:
-            for q0 in preds[stack.pop()]:
-                if not alive[q0]:
-                    alive[q0] = True
-                    stack.append(q0)
-        return frozenset(compress(range(n), alive))
-    rev = {}
-    for q, edges in out.items():
+    states = list(out)
+    n = len(states)
+    position = range(n) if states == list(range(n)) else {q: i for i, q in enumerate(states)}
+    preds = [[] for _ in range(n)]
+    for i, edges in enumerate(out.values()):
         for _x, q2 in edges:
-            rev.setdefault(q2, []).append(q)
-    alive = set(a.finals)
-    stack = list(a.finals)
+            preds[position[q2]].append(i)
+    alive = [False] * n
+    stack = [position[q] for q in a.finals]
+    for i in stack:
+        alive[i] = True
     while stack:
-        for q0 in rev.get(stack.pop(), ()):
-            if q0 not in alive:
-                alive.add(q0)
-                stack.append(q0)
-    return frozenset(alive)
+        for i in preds[stack.pop()]:
+            if not alive[i]:
+                alive[i] = True
+                stack.append(i)
+    return frozenset(compress(states, alive))
 
 
 def trim_coaccessible(a: Fsa) -> Fsa | None:
@@ -488,5 +474,5 @@ def trim_coaccessible(a: Fsa) -> Fsa | None:
     if a.initial not in alive:
         return None
     out = a.out_edges()
-    table = {q: tuple((x, q2) for x, q2 in out.get(q, ()) if q2 in alive) for q in alive}
+    table = {q: tuple((x, q2) for x, q2 in out[q] if q2 in alive) for q in alive}
     return Fsa.from_out_edges(a.alphabet, table, a.initial, a.finals)

@@ -1,5 +1,7 @@
 """Simple regular expressions: products of letters, optional letters, and
-letter-set iterations, plus the transformations the inclusion deciders need.
+letter-set iterations.  The linearization (``linearize``, ``lin_fsa``,
+``lin_to_net``) is on no decision path: it serves ``dc_unboundedness_system``
+and ``product_in_dc_pn``, the reference the tests compare the deciders against.
 """
 
 from __future__ import annotations

@@ -35,6 +35,12 @@ def _parse_flow(text: str, line_no: int) -> dict:
     return flow
 
 
+def _letter(token: str, line_no: int) -> str:
+    if token == EPS_TOKEN:  # the silent edge, and the empty word
+        raise ParseError(line_no, f"a letter other than {EPS_TOKEN}", token)
+    return token
+
+
 def _print_flow(flow: dict) -> str:
     return ",".join(f"{p}:{w}" for p, w in sorted(flow.items()))
 
@@ -52,7 +58,7 @@ def parse_net(text: str) -> NetInstance:
         tokens = line.split()
         kind = tokens[0]
         if kind == "alphabet":
-            alphabet.extend(tokens[1:])
+            alphabet.extend(_letter(x, line_no) for x in tokens[1:])
         elif kind == "place":
             if len(tokens) != 2:
                 raise ParseError(line_no, "place NAME", line)
@@ -71,7 +77,7 @@ def parse_net(text: str) -> NetInstance:
                 if key == "label":
                     if i + 1 >= len(rest):
                         raise ParseError(line_no, "label LETTER", line)
-                    label = rest[i + 1]
+                    label = _letter(rest[i + 1], line_no)
                     i += 2
                 elif key in ("pre", "post"):
                     if i + 1 >= len(rest):
@@ -143,7 +149,7 @@ def parse_fsa(text: str) -> Fsa:
         tokens = line.split()
         kind = tokens[0]
         if kind == "alphabet":
-            alphabet.extend(tokens[1:])
+            alphabet.extend(_letter(x, line_no) for x in tokens[1:])
         elif kind == "state":
             if len(tokens) < 2:
                 raise ParseError(line_no, "state NAME [initial] [final]", line)
@@ -179,6 +185,11 @@ def _state_names(a: Fsa) -> dict:
     return {q: f"S{i}" for i, q in enumerate(ordered)}
 
 
+def _named_edges(a: Fsa, names: dict) -> list:
+    """The edges as (source name, label, target name) triples, sorted."""
+    return sorted((names[q], x, names[q2]) for q, row in a.out_edges().items() for x, q2 in row)
+
+
 def print_fsa(a: Fsa) -> str:
     names = _state_names(a)
     lines = []
@@ -191,10 +202,8 @@ def print_fsa(a: Fsa) -> str:
         if q in a.finals:
             flags.append("final")
         lines.append(" ".join(["state", names[q], *flags]))
-    for q, x, q2 in sorted(
-        a.transitions, key=lambda e: (names[e[0]], e[1], names[e[2]])
-    ):
-        lines.append(f"edge {names[q]} {x if x != EPSILON else EPS_TOKEN} {names[q2]}")
+    for q, x, q2 in _named_edges(a, names):
+        lines.append(f"edge {q} {x if x != EPSILON else EPS_TOKEN} {q2}")
     return "\n".join(lines) + "\n"
 
 
@@ -309,11 +318,9 @@ def fsa_to_dot(a: Fsa, name: str = "fsa") -> str:
         shape = "doublecircle" if q in a.finals else "circle"
         lines.append(f"  {names[q]} [shape={shape}, label={_dot_quote(names[q])}];")
     lines.append(f"  hidden -> {names[a.initial]};")
-    for q, x, q2 in sorted(
-        a.transitions, key=lambda e: (names[e[0]], e[1], names[e[2]])
-    ):
+    for q, x, q2 in _named_edges(a, names):
         label = x if x != EPSILON else "ε"
-        lines.append(f"  {names[q]} -> {names[q2]} [label={_dot_quote(label)}];")
+        lines.append(f"  {q} -> {q2} [label={_dot_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from covlang.cli import build_parser, main
 from covlang.fsa import enumerate_words
 from covlang.textio import parse_fsa, parse_net, print_net
-from covlang.families import bpp_power_instance, rackoff_counterexample
+from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 
 
 def run_cli(argv, stdin_text=""):
@@ -283,6 +284,35 @@ class TestExportAndErrors:
         code, _, err = run_cli(["cover"], stdin_text="trans t pre q:1\n")
         assert code == 3 and "parse error" in err
 
+    @pytest.mark.parametrize(
+        "net_doc, fsa_doc",
+        [
+            (
+                "alphabet eps\nplace p\nplace q\n"
+                "trans t label eps pre p:1 post q:1\ninit p:1\nfinal q:1\n",
+                None,
+            ),
+            (
+                "alphabet a\nplace p\nplace q\n"
+                "trans t label a pre p:1 post q:1\ninit p:1\nfinal q:1\n",
+                "alphabet a eps\nstate S0 initial final\n",
+            ),
+        ],
+        ids=["net", "automaton"],
+    )
+    def test_eps_is_not_a_letter(self, net_doc, fsa_doc, tmp_path):
+        """``eps`` is the silent edge of automaton documents and the empty
+        word of words; as a declared letter it would print closures that
+        read back with other languages."""
+        argv = ["closure", "--dir", "up"]
+        if fsa_doc is not None:
+            automaton = tmp_path / "eps.fsa"
+            automaton.write_text(fsa_doc)
+            argv = ["reg-in", "-a", str(automaton)]
+        code, out, err = run_cli(argv, stdin_text=net_doc)
+        assert code == 3 and out == ""
+        assert "parse error" in err and "'eps'" in err
+
     def test_gen_writes_parseable_documents(self):
         for family, params in [
             ("rackoff-ce", []),
@@ -312,6 +342,51 @@ class TestDeterminism:
             }
             assert len(outputs) == 1
             assert outputs.pop().startswith("# exactness: exact\n")
+
+
+    def test_output_does_not_depend_on_the_hash_seed(self, rackoff_doc, tmp_path):
+        """Automata built from sets of triples or of string-named states list
+        their rows in hash order; what the verbs print does not."""
+        automaton = tmp_path / "hand.fsa"
+        automaton.write_text(
+            "alphabet a b c\nstate start initial\nstate mid\nstate end final\n"
+            "state loop final\nedge start a mid\nedge mid c end\nedge mid b loop\n"
+            "edge loop c loop\nedge loop eps end\nedge start c end\n"
+        )
+        power3_doc = print_net(bpp_power_instance(3))
+        runs = [
+            *(
+                (["closure", "--dir", direction], doc)
+                for direction in ("up", "down")
+                for doc in (rackoff_doc, power3_doc)
+            ),
+            (["km"], print_net(ackermann_instance(1, 1))),
+            (["is-closed", "--dir", "up"], rackoff_doc),
+            (["reg-in", "-a", str(automaton)], rackoff_doc),
+        ]
+        script = (
+            "import io, json, sys\n"
+            "from covlang.cli import main\n"
+            "for argv, doc in json.load(sys.stdin):\n"
+            "    sys.stdin = io.StringIO(doc)\n"
+            "    print('exit', main(argv))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = {}
+        for seed in ("0", "1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                input=json.dumps(runs),
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[seed] = proc.stdout
+        assert outputs["0"] == outputs["1"] == outputs["2"]
+        assert outputs["0"].count("exit ") == len(runs)
+        assert "not-included counterexample a,b,c\n" in outputs["0"]
 
 
 def _readme_cli_section():

@@ -33,6 +33,8 @@ from covlang.fsa import (
     is_empty,
     make_fsa,
     minimal_dfa_size,
+    saturate_down,
+    saturate_up,
     trim_coaccessible,
 )
 from covlang.nets import EPSILON, Marking, NetInstance, PetriNet, Transition, is_bpp
@@ -467,8 +469,8 @@ def _twin(a):
 
 class TestTableBackedAutomaton:
     """An automaton built from an explorer's table builds its triples only
-    when something reads them, and answers every query as the automaton
-    built from those triples does."""
+    when something reads them: its saturations and printing do not.  It
+    answers every query as the automaton built from those triples does."""
 
     def test_agrees_with_its_twin_built_from_triples(self):
         rng = random.Random(62)
@@ -491,10 +493,12 @@ class TestTableBackedAutomaton:
                 assert minimal_dfa_size(a) == minimal_dfa_size(twin), (i, name)
                 assert included(a, twin) == (True, None) == included(twin, a), (i, name)
                 trimmed, twin_trimmed = trim_coaccessible(a), trim_coaccessible(twin)
-                if name != "uc_fsa" or not is_bpp(inst.net):  # saturate_up reads triples
-                    assert _triples_unread(a), (i, name)
+                saturated = [saturate_up(a), saturate_down(a)]
+                assert all(map(_triples_unread, [a, *saturated])), (i, name)
+                assert saturated == [saturate_up(twin), saturate_down(twin)], (i, name)
                 assert trimmed == twin_trimmed, (i, name)
                 assert print_fsa(a) == print_fsa(twin), (i, name)
+                assert _triples_unread(a), (i, name)  # printing reads the table
                 assert a == twin and hash(a) == hash(twin), (i, name)
                 assert a.transitions == twin.transitions, (i, name)
                 checked[name] += 1

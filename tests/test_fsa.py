@@ -281,7 +281,8 @@ class TestTrim:
 
 
 class TestFromOutEdges:
-    """A table is validated as the triples it stands for would be."""
+    """A table is validated as the triples it stands for would be; it is the
+    automaton's one stored edge form."""
 
     def test_undeclared_letter(self):
         with pytest.raises(ValueError, match="undeclared letter 'b'"):
@@ -300,3 +301,18 @@ class TestFromOutEdges:
     def test_silent_edges_need_no_letter(self):
         a = Fsa.from_out_edges(("a",), {0: ((EPSILON, 1),), 1: (("a", 1),)}, 0, [1])
         assert a == make_fsa(("a",), {0, 1}, {(0, EPSILON, 1), (1, "a", 1)}, 0, {1})
+
+    def test_make_fsa_groups_and_deduplicates_the_triples(self):
+        triples = [(0, "a", 1), (0, EPSILON, 2), (0, "a", 1), [0, EPSILON, 2]]
+        a = make_fsa(("a",), [0, 1, 2], triples, 0, [2])
+        assert a.out_edges() == {0: (("a", 1), (EPSILON, 2)), 1: (), 2: ()}
+        assert a.transitions == {(0, "a", 1), (0, EPSILON, 2)}
+        with pytest.raises(ValueError, match="transition endpoint not declared"):
+            make_fsa(("a",), [0], [(1, "a", 0)], 0, [])
+
+    def test_row_order_does_not_matter(self):
+        rows = ((("a", 1), (EPSILON, 0)), ((EPSILON, 0), ("a", 1)))
+        a, b = (Fsa.from_out_edges(("a",), {0: row, 1: ()}, 0, [1]) for row in rows)
+        assert a.out_edges() != b.out_edges()
+        assert a == b and hash(a) == hash(b)
+        assert a != Fsa.from_out_edges(("a",), {0: rows[0][:1], 1: ()}, 0, [1])
