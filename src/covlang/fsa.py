@@ -6,15 +6,15 @@ explorers of ``closures`` (``Fsa.from_out_edges``) or grouped from triples by
 ``make_fsa``.  Everything here reads the table; ``Fsa.transitions``, the
 frozenset of triples, is a view built on first read.
 
-Decision queries (emptiness, membership, inclusion, equivalence) run an
-on-the-fly subset construction with memoized steps and epsilon closures over
-frozensets; they visit few subsets.  Counterexamples are
-length-lexicographically minimal, which keeps test failures reproducible.
-
-Minimization builds the whole DFA instead: ``determinize`` numbers the
-states, closes them under silent edges once, and runs the subset
-construction on int bitmasks; ``minimal_dfa_size`` refines its partition
-with Hopcroft's algorithm.
+One subset construction serves every query (``_subsets``): the states are
+numbered, closed under silent edges once, and a macrostate is an int
+bitmask that reads a letter eight states at a time, each (letter, byte)
+join memoized.  Emptiness, membership, inclusion, equivalence, word
+enumeration and the trace searches of ``trace_inclusion`` walk it on the
+fly and visit few subsets; counterexamples are length-lexicographically
+minimal, which keeps test failures reproducible.  ``determinize`` walks it
+breadth-first to the whole DFA, and ``minimal_dfa_size`` refines that DFA's
+partition with Hopcroft's algorithm.
 """
 
 from __future__ import annotations
@@ -136,45 +136,57 @@ def saturate_down(a: Fsa) -> Fsa:
     return Fsa.from_out_edges(a.alphabet, table, a.initial, a.finals)
 
 
-def _step_fn(a: Fsa):
-    """Memoized (step, close) over macrostates: close adds every state that
-    silent edges reach, and step reads one letter, then closes."""
-    out = a.out_edges()
-    closed = {}
-    stepped = {}
+def _subsets(a: Fsa):
+    """The subset construction of a, on int bitmasks.
 
-    def close(states: frozenset) -> frozenset:
-        result = closed.get(states)
-        if result is None:
-            seen = set(states)
-            stack = list(states)
-            while stack:
-                for label, q2 in out.get(stack.pop(), ()):
-                    if label == EPSILON and q2 not in seen:
-                        seen.add(q2)
-                        stack.append(q2)
-            result = closed[states] = frozenset(seen)
-        return result
+    Returns (index, start, accepting, step).  Bit ``index[q]`` stands for
+    state q, numbered in table order; start is the silent closure of the
+    initial state and accepting the mask of the final states.
+    ``step(mask, letter)`` reads one letter and closes the result: it ORs
+    the closed letter successors of the mask's states eight states at a
+    time, each (letter, byte position, byte value) joined once and memoized.
+    A letter outside the alphabet and the empty mask both step to 0.
+    """
+    index = {q: i for i, q in enumerate(a.out_edges())}
+    out = a.out_edges().values()
+    silent = [[index[q2] for x, q2 in edges if x == EPSILON] for edges in out]
+    closure = _silent_closures(silent)
+    rows = {x: [0] * len(index) for x in a.alphabet}  # closed successor masks
+    for i, edges in enumerate(out):
+        for x, q2 in edges:
+            if x != EPSILON:
+                rows[x][i] |= closure[index[q2]]
+    width = (len(index) + 7) // 8
+    memos = {x: {} for x in rows}
 
-    def step(states: frozenset, letter: str) -> frozenset:
-        key = (states, letter)
-        result = stepped.get(key)
-        if result is None:
-            nxt = {q2 for q in states for lab, q2 in out.get(q, ()) if lab == letter}
-            result = stepped[key] = close(frozenset(nxt))
-        return result
+    def step(mask: int, letter: str) -> int:
+        row = rows.get(letter)
+        if row is None:
+            return 0
+        memo = memos[letter]
+        nxt = 0
+        for pos, byte in enumerate(mask.to_bytes(width, "little")):
+            if byte:
+                key = pos << 8 | byte
+                part = memo.get(key)
+                if part is None:
+                    part = memo[key] = _join_byte(row, pos, byte)
+                nxt |= part
+        return nxt
 
-    return step, close
+    accepting = 0
+    for q in a.finals:
+        accepting |= 1 << index[q]
+    return index, closure[index[a.initial]], accepting, step
 
 
 def accepts(a: Fsa, w) -> bool:
-    step, close = _step_fn(a)
-    current = close(frozenset([a.initial]))
+    _index, current, accepting, step = _subsets(a)
     for letter in w:
         current = step(current, letter)
         if not current:
             return False
-    return bool(current & a.finals)
+    return bool(current & accepting)
 
 
 def _shortest_word(start, step, letters, accepting):
@@ -200,9 +212,8 @@ def _shortest_word(start, step, letters, accepting):
 
 def is_empty(a: Fsa):
     """Return (True, None) or (False, shortest length-lex accepted word)."""
-    step, close = _step_fn(a)
-    start = close(frozenset([a.initial]))
-    w = _shortest_word(start, step, sorted(a.alphabet), lambda s: bool(s & a.finals))
+    _index, start, accepting, step = _subsets(a)
+    w = _shortest_word(start, step, sorted(a.alphabet), lambda s: bool(s & accepting))
     return (True, None) if w is None else (False, w)
 
 
@@ -210,17 +221,17 @@ def included(a: Fsa, b: Fsa):
     """Decide L(a) <= L(b); returns (True, None) or (False, shortest witness)."""
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetMismatch("inclusion query over different alphabets")
-    step_a, close_a = _step_fn(a)
-    step_b, close_b = _step_fn(b)
-    start = (close_a(frozenset([a.initial])), close_b(frozenset([b.initial])))
+    _index, start_a, finals_a, step_a = _subsets(a)
+    _index, start_b, finals_b, step_b = _subsets(b)
+    start = (start_a, start_b)
 
     def step(pair, x):
         na = step_a(pair[0], x)
-        return na and (na, step_b(pair[1], x))  # empty: a rejects every extension
+        return na and (na, step_b(pair[1], x))  # 0: a rejects every extension
 
     def bad(pair):
         sa, sb = pair
-        return bool(sa & a.finals) and not (sb & b.finals)
+        return bool(sa & finals_a) and not sb & finals_b
 
     w = _shortest_word(start, step, sorted(a.alphabet), bad)
     return (True, None) if w is None else (False, w)
@@ -307,59 +318,28 @@ def _join_byte(row, pos: int, byte: int) -> int:
 
 
 def determinize(a: Fsa):
-    """Complete DFA of a, by subset construction over bitmasks.
+    """Complete DFA of a: a breadth-first walk over the masks of ``_subsets``.
 
     Returns (subsets, delta, initial, finals).  DFA state i is the int mask
-    subsets[i], whose bit j stands for the j-th state of ``a.states`` in its
-    iteration order; states are numbered breadth-first, so initial is 0.
-    delta[c][i] is the successor of state i on the c-th letter of
-    sorted(a.alphabet), and finals is the set of accepting DFA states.  The
-    empty mask 0 is the sink, present whenever some step reaches it.
-
-    Each state's epsilon closure is computed once; a step ORs the closed
-    letter successors of the subset's states, eight states at a time, with
-    each (letter, byte position, byte value) joined once and memoized.
+    subsets[i], over the bits of ``_subsets``'s index; states are numbered
+    breadth-first, so initial is 0.  delta[c][i] is the successor of state i
+    on the c-th letter of sorted(a.alphabet), and finals is the set of
+    accepting DFA states.  The empty mask 0 is the sink, present whenever
+    some step reaches it.
     """
     letters = sorted(a.alphabet)
-    index = {q: i for i, q in enumerate(a.states)}
-    out = [(index[q], edges) for q, edges in a.out_edges().items()]
-    silent = [[] for _ in index]
-    for i, edges in out:
-        for x, q2 in edges:
-            if x == EPSILON:
-                silent[i].append(index[q2])
-    closure = _silent_closures(silent)
-    column = {x: c for c, x in enumerate(letters)}
-    rows = [[0] * len(index) for _ in letters]  # closed successor masks
-    for i, edges in out:
-        for x, q2 in edges:
-            if x != EPSILON:
-                rows[column[x]][i] |= closure[index[q2]]
-    width = (len(index) + 7) // 8
-    memos = [{} for _ in letters]
-    start = closure[index[a.initial]]
+    _index, start, accepting, step = _subsets(a)
     subsets = [start]
     number = {start: 0}
     delta = [[] for _ in letters]
     for mask in subsets:  # grows while it is walked: breadth-first order
-        raw = mask.to_bytes(width, "little")
-        chunks = [(pos, byte) for pos, byte in enumerate(raw) if byte]
-        for row, memo, out in zip(rows, memos, delta):
-            nxt = 0
-            for pos, byte in chunks:
-                key = pos << 8 | byte
-                part = memo.get(key)
-                if part is None:
-                    part = memo[key] = _join_byte(row, pos, byte)
-                nxt |= part
+        for x, out in zip(letters, delta):
+            nxt = step(mask, x)
             target = number.get(nxt)
             if target is None:
                 target = number[nxt] = len(subsets)
                 subsets.append(nxt)
             out.append(target)
-    accepting = 0
-    for q in a.finals:
-        accepting |= 1 << index[q]
     finals = {i for i, mask in enumerate(subsets) if mask & accepting}
     return subsets, delta, 0, finals
 
@@ -421,22 +401,14 @@ def enumerate_words(a: Fsa, k: int) -> set:
     """The exact set of accepted words of length at most k."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    step, close = _step_fn(a)
-    found = set()
+    _index, start, accepting, step = _subsets(a)
     letters = sorted(a.alphabet)
-    start = close(frozenset([a.initial]))
-
-    def walk(states, w):
-        if states & a.finals:
-            found.add(w)
-        if len(w) == k:
-            return
-        for x in letters:
-            nxt = step(states, x)
-            if nxt:
-                walk(nxt, w + (x,))
-
-    walk(start, ())
+    level = [((), start)]  # the words of one length, with their masks
+    found = set()
+    for length in range(k + 1):
+        if length:
+            level = [(w + (x,), m) for w, mask in level for x in letters if (m := step(mask, x))]
+        found.update(w for w, mask in level if mask & accepting)
     return found
 
 

@@ -113,23 +113,23 @@ TRUE = Leq(ZERO, ZERO)
 FALSE = Leq(ONE, ZERO)
 
 
+def _balanced(op, formulas):
+    """op over the formulas, in order, as a balanced tree: its depth grows
+    with the logarithm of their number, so long products stay within the
+    recursion limit of the walks below."""
+    if len(formulas) == 1:
+        return formulas[0]
+    half = len(formulas) // 2
+    return op(_balanced(op, formulas[:half]), _balanced(op, formulas[half:]))
+
+
 def conj(*formulas):
     formulas = [f for f in formulas if f != TRUE]
-    if not formulas:
-        return TRUE
-    result = formulas[0]
-    for f in formulas[1:]:
-        result = And(result, f)
-    return result
+    return _balanced(And, formulas) if formulas else TRUE
 
 
 def disj(*formulas):
-    if not formulas:
-        return FALSE
-    result = formulas[0]
-    for f in formulas[1:]:
-        result = Or(result, f)
-    return result
+    return _balanced(Or, formulas) if formulas else FALSE
 
 
 def implies(a, b):
@@ -155,15 +155,19 @@ def term_vars(t) -> set:
 
 
 def free_vars(f) -> set:
+    bound = set()
+    while isinstance(f, Exists):  # a chain of binders, walked in a loop
+        bound.add(f.var)
+        f = f.body
     if isinstance(f, Leq):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (Or, And)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Exists):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+        found = term_vars(f.left) | term_vars(f.right)
+    elif isinstance(f, Not):
+        found = free_vars(f.body)
+    elif isinstance(f, (Or, And)):
+        found = free_vars(f.left) | free_vars(f.right)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return found - bound
 
 
 def eval_term(t, asg) -> int:
@@ -243,6 +247,14 @@ def flatten_exists(f):
         return _form({scope.get(v, v): k for v, k in t.coeffs}, t.const)
 
     def go(f, positive, scope):
+        while isinstance(f, Exists):  # a chain of binders, walked in a loop
+            if not positive:
+                raise ValueError("existential quantifier under negation")
+            name = fresh(f.var)
+            renaming[name] = f.var
+            if name != f.var:
+                scope = {**scope, f.var: name}
+            f = f.body
         if isinstance(f, Leq):
             return Leq(rename(f.left, scope), rename(f.right, scope)) if scope else f
         if isinstance(f, Not):
@@ -251,12 +263,6 @@ def flatten_exists(f):
         if isinstance(f, (Or, And)):
             left, right = go(f.left, positive, scope), go(f.right, positive, scope)
             return f if left is f.left and right is f.right else type(f)(left, right)
-        if isinstance(f, Exists):
-            if not positive:
-                raise ValueError("existential quantifier under negation")
-            name = fresh(f.var)
-            renaming[name] = f.var
-            return go(f.body, positive, scope if name == f.var else {**scope, f.var: name})
         raise TypeError(f"not a formula: {f!r}")
 
     return go(f, True, {}), renaming
@@ -439,14 +445,17 @@ def bpp_reach_formula(net: PetriNet, m0: Marking):
         raise NotBpp("reachability characterization needs a communication-free net")
     count_of = {t.name: Var(f"x.{t.name}") for t in net.transitions}
     depth_of = {t.name: Var(f"z.{t.name}") for t in net.transitions}
-    parts = []
-    for i, p in enumerate(net.places):
-        total = Const(m0.counts[i])
-        for t in net.transitions:
-            delta = t.post_map.get(p, 0) - t.pre_map.get(p, 0)
+    totals = {p: Const(c) for p, c in zip(net.places, m0.counts)}
+    producers_of = {p: [] for p in net.places}  # in transition order
+    for t in net.transitions:
+        pre, post = t.pre_map, t.post_map
+        for p in {**pre, **post}:
+            delta = post.get(p, 0) - pre.get(p, 0)
             if delta:
-                total = Add(total, Scale(delta, count_of[t.name]))
-        parts.append(equals(Var(p), total))
+                totals[p] = Add(totals[p], Scale(delta, count_of[t.name]))
+        for p in post:
+            producers_of[p].append(t)
+    parts = [equals(Var(p), totals[p]) for p in net.places]
     max_depth = Const(len(net.transitions))
     for t in net.transitions:
         parts.append(Leq(depth_of[t.name], max_depth))
@@ -456,9 +465,7 @@ def bpp_reach_formula(net: PetriNet, m0: Marking):
         q = pre[0]
         if m0.get(net, q) >= 1:
             continue
-        producers = [
-            u for u in net.transitions if u.post_map.get(q, 0) >= 1 and u.name != t.name
-        ]
+        producers = [u for u in producers_of[q] if u.name != t.name]
         feeders = [
             And(
                 Leq(ONE, count_of[u.name]),

@@ -91,10 +91,14 @@ def parse_net(text: str) -> NetInstance:
                 else:
                     raise ParseError(line_no, "label/pre/post", key)
             transitions.append(Transition.make(name, label, pre, post))
-        elif kind == "init":
-            init = _parse_flow(tokens[1], line_no) if len(tokens) > 1 else {}
-        elif kind == "final":
-            final = _parse_flow(tokens[1], line_no) if len(tokens) > 1 else {}
+        elif kind in ("init", "final"):
+            if len(tokens) > 2:  # a flow is one comma-separated token
+                raise ParseError(line_no, f"{kind} P:W,...", line)
+            flow = _parse_flow(tokens[1], line_no) if len(tokens) > 1 else {}
+            if kind == "init":
+                init = flow
+            else:
+                final = flow
         else:
             raise ParseError(line_no, "alphabet/place/trans/init/final", kind)
     try:

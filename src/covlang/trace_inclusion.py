@@ -14,11 +14,15 @@ Its antichain is computed in one pass: markings in descending order of rank
 (omega count, then finite token sum), each compared only with kept markings
 of strictly higher rank whose support contains its own, found through one
 bitmask per place of the kept markings holding a token or omega there.
-``traces_included`` and ``regular_included_in_lang`` share one search; the
-latter's end-lettered automaton is a step function over the given automaton,
-not a copy.  A successor from which no letter steps, such as the end-letter
-sink, is a dead end: it only needs its letter to be enabled, and no closure is
-built.
+``traces_included`` and ``regular_included_in_lang`` share one search, on
+the bitmask subset construction of ``fsa``.  For the latter it checks
+acceptance itself: an accepting node must cover the final marking, and a
+trace that the net cannot follow is extended to the shortest accepted word.
+The paper's end-letter reduction (a fresh letter that the net fires by
+consuming the final marking) gives the same answers and stays in the tests
+as their reference.  In a plain trace inclusion, a successor from which no
+letter steps is a dead end: it only needs its letter to be enabled, and no
+closure is built.
 
 ``is_closed`` asks for upward closure by containment of ``uc_fsa``'s
 automaton.  Downward closure first asks whether the empty word, the shortest
@@ -37,15 +41,9 @@ from operator import ge
 
 from .closures import dc_fsa_pn, uc_fsa
 from .errors import BudgetExceeded
-from .fsa import Fsa, _coaccessible, _shortest_word, _step_fn
-from .nets import (
-    EPSILON,
-    Marking,
-    NetInstance,
-    PetriNet,
-    append_final_letter,
-)
-from .reach import _accelerated_search, _rank, _SupportIndex, forward_cover, om_fire
+from .fsa import Fsa, _coaccessible, _shortest_word, _subsets
+from .nets import EPSILON, Marking, NetInstance, PetriNet
+from .reach import _accelerated_search, _rank, _SupportIndex, covering, forward_cover, om_fire
 
 
 def _maximal(markings, ranks=None) -> tuple:
@@ -132,50 +130,73 @@ def traces_included(a: Fsa, net: PetriNet, m0: Marking, max_nodes: int = 50_000)
 
     Returns (True, None) or (False, counterexample-trace); the counterexample
     is length-lexicographically minimal.  ``regular_included_in_lang`` runs the
-    same search (``_search``) on a step function over its automaton.
+    same search (``_search``) on the same subset construction.
     """
-    step, close = _step_fn(a)
-    start = close(frozenset([a.initial]))
+    _index, start, _accepting, step = _subsets(a)
     return _search(start, step, sorted(a.alphabet), net, m0, max_nodes)
 
 
-def _search(start, step, letters, net: PetriNet, m0: Marking, max_nodes: int, trim=None):
+def _search(
+    start, step, letters, net: PetriNet, m0: Marking, max_nodes: int, trim=None, goal=None
+):
     """Breadth-first trace tree of an automaton, given by its start
     macrostate, its ``step`` function and its ``letters`` in the order they
     are tried, against the net from m0; returns what ``traces_included``
     returns.
 
-    A successor from which no letter steps is a dead end: it has no children,
-    and no ancestor can subsume it, since an ancestor has children.  It only
-    needs some transition of its letter to be enabled, so its silent closure
-    is never built; it still counts against ``max_nodes``.
+    Without ``goal``, a successor from which no letter steps is a dead end:
+    it has no children, and no ancestor can subsume it, since an ancestor
+    has children.  It only needs some transition of its letter to be
+    enabled, so its silent closure is never built; it still counts against
+    ``max_nodes``.
+
+    ``goal``, an (accepting mask, final marking) pair, makes the search
+    decide containment in the coverability language instead, for a ``step``
+    whose every non-empty macrostate can reach acceptance.  A node whose
+    macrostate is accepting fails with its own word unless some marking of
+    its antichain covers the final marking, and counts one more node if one
+    does; this is checked before its letters are tried.  A child that the net
+    cannot follow fails with its word extended by the shortest word to
+    acceptance.
 
     ``trim``, when given, maps a macrostate to the part that ``step`` keeps
     of it.  The root is stepped from as given, and trimmed only before the
     first subsumption test, which compares it with trimmed macrostates; a
-    search that ends at the root's dead ends never trims it.
+    search that ends before it never trims it.
     """
     by_label = _net_steps(net)
     start_s, _ = silent_closure(net, [tuple(m0.counts)], max_nodes)
+    if goal is not None:
+        accepting, final = goal
+        covers = covering(final)
     # (qa, s, word, ancestors); ancestors only carry (qa, s) pairs
     root = (start, start_s)
     queue = deque([(start, start_s, (), (root,))])
     visited = 1
     while queue:
         qa, s, w, ancestors = queue.popleft()
+        if goal is not None and qa & accepting:
+            if not any(map(covers, s)):
+                return False, w
+            visited += 1
+            if visited > max_nodes:
+                raise BudgetExceeded("trace-tree nodes", max_nodes)
         for x in letters:
             qa2 = step(qa, x)
             if not qa2:
                 continue
             arcs = by_label.get(x, ())
-            dead_end = not any(step(qa2, y) for y in letters)
+            dead_end = goal is None and not any(step(qa2, y) for y in letters)
             if dead_end:
                 if not _enabled(s, arcs):
                     return False, w + (x,)
             else:
                 s2 = _letter_step(net, s, arcs, max_nodes)
                 if not s2:
-                    return False, w + (x,)
+                    if goal is None:
+                        return False, w + (x,)
+                    tail = _shortest_word(qa2, step, letters, lambda q: q & accepting)
+                    return False, w + (x,) + tail
                 if trim is not None:  # the first subsumption test, at the root
                     ancestors = ((trim(start), start_s),)
                     trim = None
@@ -205,79 +226,46 @@ def net_has_trace(net: PetriNet, m0: Marking, w, max_nodes: int = 50_000) -> boo
     return True
 
 
-def _fresh_letter(used) -> str:
-    candidate = "#"
-    while candidate in used:
-        candidate += "#"
-    return candidate
-
-
-#: The accepting sink of the end-lettered automaton, a macrostate of its own.
-_SINK = frozenset([object()])
-
-
 def regular_included_in_lang(a: Fsa, inst: NetInstance, max_nodes: int = 50_000):
     """L(a) inside the coverability language; returns (bool, counterexample word).
 
-    Both sides get a fresh end letter: the net fires it by consuming the final
-    marking, the automaton appends it after accepting, and the question becomes
-    an inclusion of prefix-closed trace languages.  The end-lettered automaton,
-    trimmed so that acceptance stays reachable, is a step function over ``a``
-    rather than a copy of it: a letter step keeps the co-accessible states of
-    ``a``'s step, the fresh letter leads from a macrostate that holds a final
-    state to ``_SINK``, and it is tried before the sorted letters of ``a``:
-    at every node the search tries to end the word before it extends it,
-    whatever letters sort before the fresh one.
+    The trace search of ``traces_included``, run on ``a`` trimmed so that
+    acceptance stays reachable, checks acceptance itself (``_search`` with a
+    goal): a word that ``a`` accepts must lead the net to a marking that
+    covers the final one.  Verdicts, counterexamples and budget overruns are
+    those of the paper's end-letter reduction, the test reference: both
+    sides get a fresh end letter, the net fires it by consuming the final
+    marking, the automaton reads it after accepting, and the question becomes
+    an inclusion of prefix-closed trace languages.
 
     The co-accessible states are computed at the first letter step that
     reaches some state, or at once when the start macrostate holds no final
-    state, which also decides whether L(a) is empty.  So an answer that the
-    end letter gives at the start, such as the counterexample () when the
-    automaton accepts the empty word and the net does not, never computes
-    them.
+    state, which also decides whether L(a) is empty.  So an answer at the
+    start, such as the counterexample () when the automaton accepts the
+    empty word and the net does not, never computes them.
     """
-    fresh = _fresh_letter(set(inst.net.alphabet) | set(a.alphabet))
-    step_a, close = _step_fn(a)
+    index, start, accepting, step_a = _subsets(a)
     alive = None
 
-    def trim(qa: frozenset) -> frozenset:
+    def trim(qa: int) -> int:
         nonlocal alive
         if alive is None:
-            alive = _coaccessible(a)
+            alive = 0
+            for q in _coaccessible(a):
+                alive |= 1 << index[q]
         return qa & alive
 
-    def step(qa: frozenset, x: str) -> frozenset:
-        if x == fresh:
-            return _SINK if qa & a.finals else frozenset()
+    def step(qa: int, x: str) -> int:
         nxt = step_a(qa, x)
-        return trim(nxt) if nxt else nxt
+        return nxt and trim(nxt)
 
-    start = close(frozenset([a.initial]))
-    if not start & a.finals:
+    if not start & accepting:
         start = trim(start)
         if not start:
             return True, None
-    letters = [fresh, *sorted(set(a.alphabet))]
-    lifted = append_final_letter(inst, fresh)
-    ok, trace = _search(start, step, letters, lifted.net, lifted.initial, max_nodes, trim)
-    if ok:
-        return True, None
-    word = _extend_to_acceptance(start, step, letters, trace)
-    if word[-1] != fresh:
-        raise RuntimeError(f"counterexample {word!r} does not end with {fresh!r}")
-    return False, word[:-1]
-
-
-def _extend_to_acceptance(start, step, letters, trace):
-    """Shortest word extending the given trace that steps to ``_SINK``
-    (exists by trimming)."""
-    current = start
-    for x in trace:
-        current = step(current, x)
-    tail = _shortest_word(current, step, letters, lambda s: s == _SINK)
-    if tail is None:
-        raise AssertionError("a trimmed automaton must reach acceptance")
-    return tuple(trace) + tail
+    letters = sorted(set(a.alphabet))
+    goal = (accepting, inst.final)
+    return _search(start, step, letters, inst.net, inst.initial, max_nodes, trim, goal)
 
 
 @dataclass(frozen=True)

@@ -261,12 +261,12 @@ def test_criterion_7_uc_inclusion_minimal_words():
 
 
 def _fsa_traces(a, max_len):
-    from covlang.fsa import _step_fn
+    from covlang.fsa import _subsets
 
-    step, close = _step_fn(a)
+    _index, start, _accepting, step = _subsets(a)
     out = set()
-    frontier = {close(frozenset([a.initial]))}
-    words = {close(frozenset([a.initial])): ()}
+    frontier = {start}
+    words = {start: ()}
     out.add(())
     for _ in range(max_len):
         nxt = {}

@@ -12,6 +12,7 @@ import pytest
 
 from covlang.cli import build_parser, main
 from covlang.fsa import enumerate_words
+from covlang.presburger import free_vars, parse_smtlib_script
 from covlang.textio import parse_fsa, parse_net, print_net
 from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 
@@ -169,6 +170,19 @@ class TestExportAndErrors:
         emitted = list(tmp_path.glob("*.smt2"))
         assert emitted and "(check-sat)" in emitted[0].read_text()
         assert out == f"{tmp_path / 'p-witness-1.smt2'}\n"
+
+    @pytest.mark.parametrize("direction, name", [("up", "staged-cover-1"), ("down", "p-witness-1")])
+    def test_export_smt2_of_a_long_product(self, direction, name, tmp_path):
+        # a formula this long nests past the recursion limit unless its
+        # conjunctions are balanced and its binders are walked in a loop
+        _, doc, _ = run_cli(["gen", "bpp-power", "3"])
+        argv = ["export", "--smt2", "--dir", direction, "-e", ".".join("a" * 400), "-o", str(tmp_path)]
+        code, out, err = run_cli(argv, stdin_text=doc)
+        assert code == 0, err
+        target = tmp_path / f"{name}.smt2"
+        assert out == f"{target}\n"
+        names, formula = parse_smtlib_script(target.read_text())
+        assert names == sorted(free_vars(formula))
 
     def test_usage_error(self):
         code, _, err = run_cli(["member"])  # missing -w

@@ -24,7 +24,7 @@ from covlang.errors import BudgetExceeded, NotBpp
 from covlang.families import bpp_power_instance, rackoff_counterexample
 from covlang.fsa import (
     Fsa,
-    _step_fn,
+    _subsets,
     accepts,
     components,
     enumerate_words,
@@ -592,14 +592,14 @@ def _reference_dc_fsa_bpp(inst, max_states):
 def _nfa_included(a, b):
     """L(a) <= L(b), searching a's states paired with b's macrostates, so
     that only b is determinized."""
-    step, close = _step_fn(b)
+    _index, start_b, finals_b, step = _subsets(b)
     out = a.out_edges()
-    start = (a.initial, close(frozenset([b.initial])))
+    start = (a.initial, start_b)
     seen = {start}
     stack = [start]
     while stack:
         q, macro = stack.pop()
-        if q in a.finals and not macro & b.finals:
+        if q in a.finals and not macro & finals_b:
             return False
         for x, q2 in out.get(q, ()):
             nxt = (q2, macro if x == EPSILON else step(macro, x))

@@ -7,6 +7,7 @@ from corpus import random_fsa
 from covlang.errors import AlphabetMismatch
 from covlang.fsa import (
     Fsa,
+    _subsets,
     accepts,
     empty_fsa,
     enumerate_words,
@@ -237,6 +238,38 @@ def _oracle_determinize(a):
     return states, delta, start, finals
 
 
+class TestSubsets:
+    """The one subset construction that every query walks, against the
+    frozenset oracle."""
+
+    def test_agrees_with_the_oracle(self):
+        rng = random.Random(2025)
+        for _ in range(600):
+            a = _random_nfa(rng)
+            if a.alphabet and rng.random() < 0.5:  # a letter listed twice
+                alphabet = a.alphabet + a.alphabet[:1]
+                a = make_fsa(alphabet, a.states, a.transitions, a.initial, a.finals)
+            states, delta, start, finals = _oracle_determinize(a)
+            index, start_mask, accepting, step = _subsets(a)
+
+            def as_set(mask):
+                return frozenset(q for q, i in index.items() if mask >> i & 1)
+
+            assert as_set(start_mask) == start
+            assert as_set(accepting) == a.finals
+            masks = [start_mask]
+            for mask in masks:  # grows while it is walked
+                assert bool(mask & accepting) == (as_set(mask) in finals)
+                for x in a.alphabet:
+                    nxt = step(mask, x)
+                    assert as_set(nxt) == delta[as_set(mask), x]
+                    if nxt not in masks:
+                        masks.append(nxt)
+                assert step(mask, "z") == 0
+            assert len(masks) == len(states) and set(map(as_set, masks)) == states
+            assert all(step(0, x) == 0 for x in a.alphabet)
+
+
 def _oracle_minimal_size(a):
     """Moore refinement: recompute every signature until no class splits."""
     states, delta, _start, finals = _oracle_determinize(a)
@@ -262,6 +295,11 @@ class TestEnumerate:
     def test_downward_closure_of_ab(self):
         down = saturate_down(word_fsa(("a", "b"), ("a", "b")))
         assert enumerate_words(down, 2) == {(), ("a",), ("b",), ("a", "b")}
+
+    def test_long_words_need_no_recursion(self):
+        star = make_fsa(("a",), {0}, {(0, "a", 0)}, 0, {0})
+        words = enumerate_words(star, 1500)
+        assert len(words) == 1501 and ("a",) * 1500 in words
 
     def test_bounded_language_of_counterexample(self, rackoff_ce):
         from covlang.closures import k_bounded_fsa

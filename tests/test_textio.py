@@ -49,6 +49,16 @@ class TestNetDocuments:
             parse_net("place p\ninit p\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("kind", ["init", "final"])
+    def test_a_marking_is_one_token(self, kind):
+        # with a space for the comma, "p:1 q:2" used to parse as p:1 alone
+        with pytest.raises(ParseError) as err:
+            parse_net(f"place p\nplace q\n{kind} p:1 q:2\n")
+        assert err.value.line_no == 3
+        inst = parse_net(f"place p\nplace q\n{kind} p:1,q:2\n")
+        marking = inst.initial if kind == "init" else inst.final
+        assert marking.as_dict(inst.net) == {"p": 1, "q": 2}
+
     def test_comments_and_blanks_ignored(self):
         doc = "# heading\n\nplace p  # trailing\ninit p:1\n"
         inst = parse_net(doc)

@@ -8,7 +8,7 @@ from corpus import random_fsa, random_net
 from covlang.closures import dc_fsa_pn
 from covlang.errors import BudgetExceeded
 from covlang.families import ackermann_instance, ackermann_value, bpp_power_instance
-from covlang.fsa import Fsa, _step_fn, make_fsa, trim_coaccessible, word_fsa
+from covlang.fsa import Fsa, _subsets, make_fsa, trim_coaccessible, word_fsa
 from covlang.nets import (
     EPSILON,
     Marking,
@@ -42,9 +42,9 @@ from covlang.trace_inclusion import (
 
 def fsa_traces(a, max_len):
     """All words readable from the initial state (regardless of acceptance)."""
-    step, close = _step_fn(a)
+    _index, start, _accepting, step = _subsets(a)
     out = set()
-    frontier = {close(frozenset([a.initial])): ()}
+    frontier = {start: ()}
     out.add(())
     for _ in range(max_len):
         nxt = {}
@@ -317,6 +317,24 @@ class TestRegularInclusion:
         )
         assert regular_included_in_lang(aplusb, rackoff_ce) == (True, None)
 
+    def test_builds_no_net(self, rackoff_ce, monkeypatch):
+        # the end-letter reduction would build a lifted net on every call
+        built = []
+        post_init = PetriNet.__post_init__
+
+        def counting(net):
+            built.append(net)
+            post_init(net)
+
+        hand = make_fsa(("a", "b", "c"), {0, 1, 2}, {(0, "a", 1), (1, "a", 1), (1, "b", 2)}, 0, {2})
+        closure = dc_fsa_pn(rackoff_ce).fsa
+        monkeypatch.setattr(PetriNet, "__post_init__", counting)
+        assert regular_included_in_lang(hand, rackoff_ce) == (True, None)
+        assert regular_included_in_lang(closure, rackoff_ce)[0] is False
+        assert built == []
+        append_final_letter(rackoff_ce, "d")  # the counter sees a net built
+        assert len(built) == 1
+
     def test_empty_language_trivially_inside(self, rackoff_ce):
         from covlang.fsa import empty_fsa
 
@@ -361,15 +379,14 @@ def _materialised_regular_inclusion(a, inst, max_nodes):
     ok, trace = traces_included(ended, lifted.net, lifted.initial, max_nodes)
     if ok:
         return True, None
-    step, close = _step_fn(ended)
-    current = close(frozenset([ended.initial]))
+    _index, current, accepting, step = _subsets(ended)
     for x in trace:
         current = step(current, x)
     seen = {current}
     queue = deque([(current, trace)])
     while queue:
         states, w = queue.popleft()
-        if sink in states:
+        if states & accepting:  # the sink, the one final state
             assert w[-1] == fresh
             return False, w[:-1]
         for x in sorted(alphabet):
@@ -388,6 +405,9 @@ def _outcome(decide, a, inst, max_nodes):
 
 
 class TestEndLetterOnTheAutomaton:
+    """The search that checks acceptance itself answers as the paper's
+    end-letter reduction, materialised on copies of the net and automaton."""
+
     def test_matches_the_materialised_reduction(self):
         """Verdicts, counterexamples and budget overruns, on random automata
         and on the downward-closure automata of the same nets."""
@@ -424,9 +444,10 @@ class TestEndLetterOnTheAutomaton:
     @pytest.mark.parametrize("letter", ["!", "b"])
     def test_the_end_letter_is_tried_first(self, letter):
         # L = {a}; the automaton accepts the empty word and the one-letter
-        # word of a letter that the net never fires.  "!" sorts before the
-        # end letter "#", "b" after it; the empty word is the shorter
-        # counterexample either way.
+        # word of a letter that the net never fires.  Acceptance is checked
+        # at a node before its letters are tried, as the reduction tries its
+        # end letter "#" first: whether the letter sorts before "#" ("!") or
+        # after it ("b"), the empty word is the counterexample.
         net = PetriNet(("a", letter), ("p", "q"), (Transition.make("t", "a", {"p": 1}, {"q": 1}),))
         inst = NetInstance(net, Marking.of(net, {"p": 1}), Marking.of(net, {"q": 1}))
         a = make_fsa(("a", letter), (0, 1), {(0, letter, 1)}, 0, {0, 1})
