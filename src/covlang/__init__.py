@@ -47,6 +47,7 @@ from .reach import (
     coverable,
     km_graph,
     member,
+    minimal_words,
     simultaneously_unbounded,
 )
 from .sre import AlphabetOrder, Letter, OptionalLetter, Product, Sre, Star, linearize, min_word, normalize_product, to_fsa

@@ -1,15 +1,15 @@
 """Closure automata for coverability languages.
 
-Upward closures are exact on every net.  Communication-free nets saturate the
-markings reachable within ``bpp_short_bound`` steps with letter self-loops.
-Other nets follow Valk and Jantzen (1985): grow a finite set W of words of the
-language until one coverability query shows that no word of the language lies
-outside uc(W).  Each added word lies outside uc(W), so Higman's lemma ends the
-loop.  Saturating the k-bounded automaton gives an under-approximation, exact
-once k reaches the classical run-length recurrence over the number of places.
-Downward closures (``dc_fsa_pn``) come from the coverability graph on every net.
+Upward closures are exact on every net, by one construction: the
+subword-minimal words of the language, found by the backward saturation over
+(marking, word) pairs (``reach.minimal_words``), and the automaton of their
+upward closure (``_basis_dfa``).  Saturating the k-bounded automaton gives an
+under-approximation, exact once k reaches the classical run-length
+recurrence over the number of places.  Downward closures (``dc_fsa_pn``)
+come from the coverability graph on every net.
 
 One explicit explorer builds ``k_bounded_fsa`` over (marking, steps) pairs,
+the upward-closure automaton over the basis words' embedded prefixes,
 ``reachability_fsa`` over markings within k steps, and ``dc_fsa_pn`` over
 reachable markings on conservative nets (``reach.conservative``); elsewhere
 ``dc_fsa_pn`` reads the accelerated search's graph (``km_graph``).  The
@@ -27,8 +27,8 @@ from operator import itemgetter
 
 from .errors import BudgetExceeded, NotBpp
 from .fsa import Fsa, saturate_up
-from .nets import EPSILON, NetInstance, fire, is_bpp, subword, sync_with_fsa
-from .reach import conservative, coverable, covering, km_graph, om_fire
+from .nets import EPSILON, NetInstance, fire, is_bpp
+from .reach import conservative, covering, km_graph, minimal_words, om_fire
 
 #: Materializing integers beyond this many bits is pointless for desk work.
 MAX_VALUE_BITS = 10**7
@@ -106,7 +106,9 @@ def rackoff_g_bound(inst: NetInstance, i: int | None = None) -> BoundReport:
 
 
 def bpp_short_bound(inst: NetInstance) -> BoundReport:
-    """Communication-free nets: minimal words appear within tokens(M_f)^2 * |T| steps."""
+    """Communication-free nets: minimal words appear within tokens(M_f)^2 * |T| steps.
+
+    No construction uses it; ``covlang bound bpp-short`` reports it."""
     if not is_bpp(inst.net):
         raise NotBpp("short-run bound only holds for communication-free nets")
     value = inst.final.token_count() ** 2 * len(inst.net.transitions)
@@ -213,7 +215,8 @@ def reachability_fsa(inst: NetInstance, k: int, max_states: int = 200_000) -> Fs
 
     Only markings first reached in fewer than k steps get out-edges, so the
     language holds the words of the covering runs of length at most k and
-    lies inside the coverability language.
+    lies inside the coverability language.  No decision calls it; it stays
+    for the benchmark (``perfbench/``), which traces it by name.
     """
     depth = {inst.initial: 0}
 
@@ -280,13 +283,11 @@ def uc_fsa(
 ) -> ClosureResult:
     """Upward-closure automaton.
 
-    mode="exact": the exact closure on every net.  Communication-free nets
-    take ``uc_fsa_bpp``.  Other nets grow a basis W of words of the language,
-    starting empty: while the net has a covering run whose word lies outside
-    uc(W), found by backward coverability on the net synchronized with the
-    complement of uc(W), add that word to W and drop the words of W that
-    contain it as a subword.  ``max_states`` bounds both the automaton of
-    uc(W) and each coverability query.
+    mode="exact": the exact closure on every net, the automaton of the
+    upward closure of the language's subword-minimal words, which the
+    backward saturation over (marking, word) pairs finds
+    (``reach.minimal_words``).  ``max_states`` bounds both the pairs and
+    the automaton's states.
     mode="user_k": saturate the k-bounded automaton; exact iff k reaches the
     run-length bound ``rackoff_bound``, an under-approximation otherwise.
     """
@@ -298,32 +299,17 @@ def uc_fsa(
         return ClosureResult(fsa, "exact" if bound is not None and k >= bound else "under")
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if is_bpp(inst.net):
-        return ClosureResult(uc_fsa_bpp(inst, max_states), "exact")
-    basis = []
-    while True:
-        inside = _basis_dfa(inst.net.alphabet, basis, max_states)
-        outside = Fsa.from_out_edges(
-            inside.alphabet, inside.out_edges(), inside.initial, inside.states - inside.finals
-        )
-        synced = sync_with_fsa(inst.net, outside, "full")
-        found, run = coverable(synced.make_instance(inst), max_states)
-        if not found:
-            return ClosureResult(inside, "exact")
-        labels = (synced.net.transition(name).label for name in run)
-        w = tuple(x for x in labels if x != EPSILON)
-        basis = [u for u in basis if not subword(w, u)] + [w]
+    words = [w for w, _run in minimal_words(inst, max_states)]
+    return ClosureResult(_basis_dfa(inst.net.alphabet, words, max_states), "exact")
 
 
 def uc_fsa_bpp(inst: NetInstance, max_states: int = 200_000) -> Fsa:
-    """Exact upward closure for communication-free nets; the bound raises
-    NotBpp on other nets.
-
-    Every minimal word has a covering run of at most ``bpp_short_bound`` steps,
-    so saturating the markings reachable within that many steps
-    (``reachability_fsa``) yields the upward closure.
-    """
-    return saturate_up(reachability_fsa(inst, bpp_short_bound(inst).value, max_states))
+    """``uc_fsa``'s automaton of a communication-free net; NotBpp on other
+    nets.  No decision calls it; it stays for the benchmark's power-family
+    queries (``perfbench/``)."""
+    if not is_bpp(inst.net):
+        raise NotBpp("uc_fsa_bpp takes communication-free nets only")
+    return uc_fsa(inst, max_states=max_states).fsa
 
 
 def dc_fsa_bpp(inst: NetInstance, max_states: int = 500_000) -> Fsa:

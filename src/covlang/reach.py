@@ -1,6 +1,7 @@
-"""Decision engines: backward coverability, Karp-Miller graph, simultaneous
-unboundedness, forward coverability, membership oracles, and the bounded
-brute-force explorer used as a test oracle.
+"""Decision engines: backward coverability, the minimal words of the
+language, Karp-Miller graph, simultaneous unboundedness, forward
+coverability, membership oracles, and the bounded brute-force explorer used
+as a test oracle.
 
 Omega is ``math.inf`` (``OMEGA``) in every omega-marking, so a dominance
 test is Python's own ``>=``.  One accelerated search over omega-markings
@@ -27,6 +28,15 @@ so forward and backward dominance tests share one index.  It drops every
 marking m with y . m > y . m0 for a minimal-support P-semiflow y of the net
 (computed once per call by the Farkas algorithm), and it raises
 BudgetExceeded past ``max_nodes`` inserted markings.
+
+The minimal words of the language (``minimal_words``, which every upward
+closure is built from) come from the same backward search over (marking,
+word) pairs: one pre-image and semiflow arithmetic (``_backward_steps``,
+``_pre_image``) serves both, and the pairs' antichain (``_PairBasis``)
+indexes its markings with the same ``_SupportIndex``.  A pair's word is a
+link to the word of the pair it came from, and a found word's run is the
+chain of transitions back to the final marking, as with the witness of
+``coverable``.
 """
 
 from __future__ import annotations
@@ -558,6 +568,65 @@ def forward_cover(
     return False
 
 
+def _backward_steps(net: PetriNet, m0: tuple, final: tuple):
+    """The net's transitions as backward steps, and the P-semiflow sums of
+    the final marking (None when a semiflow already rules it out).
+
+    A marking m with y . m > y . m0 for some P-semiflow y cannot be covered
+    from the initial marking m0, since y . m is the same on every reachable
+    marking; nor can any of its pre-images, whose y-values are no smaller.
+    Each step is (name, label, pre, post, pruning), where pruning holds, per
+    minimal-support semiflow y: the weight t's pre-arcs put in y, t's merged
+    post-arcs on y's support with y's weight there, and y . m0.
+    """
+    flows = [dict(y) for y in _semiflows(net)]
+    bounds = [sum(v * m0[i] for i, v in y.items()) for y in flows]
+    sums = [sum(v * final[i] for i, v in y.items()) for y in flows]
+    steps = [
+        (name, label, pre, post, [
+            (
+                sum(y.get(i, 0) * w for i, w in pre),
+                [(i, w, y[i]) for i, w in _merged(post) if i in y],
+                bound,
+            )
+            for y, bound in zip(flows, bounds)
+        ])
+        for name, (label, pre, post) in net.arcs.items()
+    ]
+    return steps, None if any(map(gt, sums, bounds)) else sums
+
+
+def _merged(arcs: tuple) -> tuple:
+    """Arcs with the weights on each place summed, in first-seen order, so
+    that a place's post-arcs take min(b_i, w) tokens for their total w."""
+    total = {}
+    for i, w in arcs:
+        total[i] = total.get(i, 0) + w
+    return tuple(total.items())
+
+
+def _pre_image(b: tuple, b_sums: list, pre, post, pruning):
+    """(pre(b, t), its semiflow sums) for a step of ``_backward_steps``: the
+    smallest marking from which firing t covers b, or None when a semiflow
+    rules it out.  y . pre(b, t) is y . b plus the weight t's pre-arcs put in
+    y, minus y_i . min(b_i, w) for each post-arc (i, w)."""
+    pre_sums = []
+    for (gain, losses, bound), total in zip(pruning, b_sums):
+        total += gain
+        for i, w, v in losses:
+            total -= v * (b[i] if b[i] < w else w)
+        if total > bound:
+            return None
+        pre_sums.append(total)
+    counts = list(b)
+    for i, w in post:
+        v = counts[i] - w
+        counts[i] = v if v > 0 else 0
+    for i, w in pre:
+        counts[i] += w
+    return tuple(counts), pre_sums
+
+
 def coverable(inst: NetInstance, max_nodes: int = 100_000):
     """Exact backward coverability; returns (answer, witness-or-None).
 
@@ -570,35 +639,18 @@ def coverable(inst: NetInstance, max_nodes: int = 100_000):
     marking to the final one, whose replay from the initial marking covers
     the final marking.
 
-    A marking m with y . m > y . m0 for some P-semiflow y cannot be covered
-    from the initial marking m0, since y . m is the same on every reachable
-    marking; nor can any of its predecessors, so such markings are dropped
-    without changing the answer or the witness.  Each inserted marking keeps
-    its y . m, and y . pre(b, t) is y . b plus the weight t's pre-arcs put
-    in y, minus y_i . min(b_i, w) for each post-arc (i, w).  Inserting more
-    than max_nodes markings raises BudgetExceeded.
+    Markings that a P-semiflow rules out (``_backward_steps``) are dropped
+    without changing the answer or the witness; each inserted marking keeps
+    its semiflow sums, from which ``_pre_image`` derives those of its
+    pre-images.  Inserting more than max_nodes markings raises
+    BudgetExceeded.
     """
-    net = inst.net
     m0 = inst.initial.counts
     final = inst.final.counts
-    flows = [dict(y) for y in _semiflows(net)]
-    bounds = [sum(v * m0[i] for i, v in y.items()) for y in flows]
-    sums = [[sum(v * final[i] for i, v in y.items()) for y in flows]]
-    if any(map(gt, sums[0], bounds)):
+    steps, final_sums = _backward_steps(inst.net, m0, final)
+    if final_sums is None:
         return False, None
-    # per transition and semiflow y: the weight t's pre-arcs put in y, t's
-    # post-arcs on y's support with y's weight there, and y . m0
-    steps = [
-        (name, pre, post, [
-            (
-                sum(y.get(i, 0) * w for i, w in pre),
-                [(i, w, y[i]) for i, w in _merged(post) if i in y],
-                bound,
-            )
-            for y, bound in zip(flows, bounds)
-        ])
-        for name, (_label, pre, post) in net.arcs.items()
-    ]
+    sums = [final_sums]
     goal = UpwardClosedSet()
     goal.add(final)
     keys = goal.keys
@@ -611,52 +663,192 @@ def coverable(inst: NetInstance, max_nodes: int = 100_000):
         for j in frontier:
             b = keys[j]
             b_sums = sums[j]
-            for name, pre, post, pruning in steps:
-                pre_sums = []
-                for (gain, losses, bound), total in zip(pruning, b_sums):
-                    total += gain
-                    for i, w, v in losses:
-                        total -= v * (b[i] if b[i] < w else w)
-                    if total > bound:
-                        break
-                    pre_sums.append(total)
-                else:
-                    counts = list(b)
-                    for i, w in post:
-                        v = counts[i] - w
-                        counts[i] = v if v > 0 else 0
-                    for i, w in pre:
-                        counts[i] += w
-                    k = goal.add(tuple(counts))
-                    if k < 0:
-                        continue
-                    if k >= max_nodes:
-                        raise BudgetExceeded("backward-coverability markings", max_nodes)
-                    sums.append(pre_sums)
-                    chain.append((name, j))
-                    new_frontier.append(k)
+            for name, _label, pre, post, pruning in steps:
+                image = _pre_image(b, b_sums, pre, post, pruning)
+                if image is None:
+                    continue
+                k = goal.add(image[0])
+                if k < 0:
+                    continue
+                if k >= max_nodes:
+                    raise BudgetExceeded("backward-coverability markings", max_nodes)
+                sums.append(image[1])
+                chain.append((name, j))
+                new_frontier.append(k)
         frontier = new_frontier
         alive = goal.alive
         for k in range(checked, len(keys)):
             if alive >> k & 1 and all(map(ge, m0, keys[k])):
-                witness = []
-                step = chain[k]
-                while step is not None:
-                    name, k = step
-                    witness.append(name)
-                    step = chain[k]
-                return True, witness
+                return True, _run(chain, k)
         checked = len(keys)
     return False, None
 
 
-def _merged(arcs: tuple) -> tuple:
-    """Arcs with the weights on each place summed, in first-seen order, so
-    that a place's post-arcs take min(b_i, w) tokens for their total w."""
-    total = {}
-    for i, w in arcs:
-        total[i] = total.get(i, 0) + w
-    return tuple(total.items())
+def _run(chain: list, k: int) -> list:
+    """The transition names along ``chain`` from entry k to the goal."""
+    names = []
+    step = chain[k]
+    while step is not None:
+        name, k = step
+        names.append(name)
+        step = chain[k]
+    return names
+
+
+class _PairBasis:
+    """Antichain of (marking, word) pairs, minimal under b <= b' pointwise
+    and w a subword of w', for ``minimal_words``.
+
+    Words are hash-consed cells: cell 0 is the empty word, and cell c > 0 is
+    the letter ``letters[c]`` followed by the word ``rest[c]``.  So a pair's
+    word links to the word of the pair it was derived from, and equal words
+    are equal cells.  Pairs are numbered in insertion order, with their
+    markings in ``keys`` and their cells in ``words``; ``alive`` is the
+    bitmask of those still minimal.  A marking strictly below another has a
+    strictly smaller token sum and a support inside the other's, so a pair
+    can lie below another only if its marking is the same (``by_marking``)
+    or has a smaller sum (``by_total``) and passes the ``_SupportIndex``,
+    and only if its word is no longer.  Words are compared only for the
+    pairs that pass these filters.
+    """
+
+    __slots__ = ("letters", "rest", "lengths", "cells", "keys", "words", "index",
+                 "by_marking", "by_total", "alive")
+
+    def __init__(self, places: int):
+        self.letters, self.rest, self.lengths, self.cells = [None], [0], [0], {}
+        self.keys, self.words = [], []
+        self.index = _SupportIndex(self.keys, places)
+        self.by_marking = {}  # marking -> bitmask of the pairs with it
+        self.by_total = {}  # token sum -> bitmask of the pairs with it
+        self.alive = 0
+
+    def cell(self, letter: str, word: int) -> int:
+        """The cell of ``letter`` followed by the word of cell ``word``."""
+        c = self.cells.get((letter, word))
+        if c is None:
+            c = self.cells[letter, word] = len(self.letters)
+            self.letters.append(letter)
+            self.rest.append(word)
+            self.lengths.append(self.lengths[word] + 1)
+        return c
+
+    def embeds(self, u: int, v: int) -> bool:
+        """The word of cell u is a subword of the word of cell v."""
+        letters, rest, lengths = self.letters, self.rest, self.lengths
+        while u:
+            if u == v:
+                return True
+            if lengths[u] > lengths[v]:
+                return False
+            if letters[u] == letters[v]:
+                u = rest[u]
+            v = rest[v]
+        return True
+
+    def spell(self, c: int) -> tuple:
+        letters, rest = self.letters, self.rest
+        out = []
+        while c:
+            out.append(letters[c])
+            c = rest[c]
+        return tuple(out)
+
+    def add(self, key: tuple, cell: int) -> int:
+        """Insert a pair; returns its number, or -1 if some pair of the
+        antichain lies below it.  The pairs above it leave the antichain."""
+        words, lengths, embeds, alive = self.words, self.lengths, self.embeds, self.alive
+        length = lengths[cell]
+        total = sum(key)
+        same = self.by_marking.get(key, 0) & alive
+        lower = higher = 0
+        for t, mask in self.by_total.items():
+            if t < total:
+                lower |= mask
+            elif t > total:
+                higher |= mask
+        index = self.index
+        if same or lower & alive:
+            for i in index.below(key, same | lower & alive):
+                if lengths[words[i]] <= length and embeds(words[i], cell):
+                    return -1
+        if same or higher & alive:
+            for i in index.above(key, same | higher & alive):
+                if lengths[words[i]] >= length and embeds(cell, words[i]):
+                    alive &= ~(1 << i)
+        k = len(self.keys)
+        bit = 1 << k
+        self.keys.append(key)
+        words.append(cell)
+        index.add(k)
+        self.by_marking[key] = self.by_marking.get(key, 0) | bit
+        self.by_total[total] = self.by_total.get(total, 0) | bit
+        self.alive = alive | bit
+        return k
+
+
+def minimal_words(inst: NetInstance, max_nodes: int = 100_000) -> list:
+    """The subword-minimal words of the coverability language L, each with a
+    covering run that spells it: a list of (word, transition names), shortest
+    words first.  uc(L) is the upward closure of these words (Higman).
+
+    Backward saturation over (marking, word) pairs, the backward algorithm
+    for well-structured systems (Abdulla, Cerans, Jonsson and Tsay 1996): a
+    pair (b, w) says that a run from b covers the final marking M_f and
+    spells w.  It starts from (M_f, ()), and the pre-image of (b, w) under t
+    is (pre(b, t), label(t) . w).  Only the pairs minimal under b <= b'
+    pointwise and w a subword of w' are kept (``_PairBasis``); Dickson's and
+    Higman's lemmas make that order a well-quasi-order, so the saturation
+    ends.  A pair with b <= m0 gives a word of L; it is not expanded, since
+    the word of each of its pre-images contains it.  Pairs that a P-semiflow
+    rules out (``_backward_steps``) are dropped, and so are pairs whose word
+    contains a word already found.  Each pair links to the transition and
+    the pair it was derived from, as in ``coverable``; the links from a
+    found pair spell its run.  Inserting more than max_nodes pairs raises
+    BudgetExceeded("backward pairs").
+    """
+    m0 = inst.initial.counts
+    final = inst.final.counts
+    steps, final_sums = _backward_steps(inst.net, m0, final)
+    if final_sums is None:
+        return []
+    if all(map(ge, m0, final)):
+        return [((), [])]
+    basis = _PairBasis(len(final))
+    basis.add(final, 0)
+    words, keys, embeds = basis.words, basis.keys, basis.embeds
+    sums = [final_sums]
+    chain = [None]  # (transition name, number of the pair it was derived from)
+    found = []  # the pairs below m0, their words an antichain
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for j in frontier:
+            word = words[j]
+            if not basis.alive >> j & 1 or found and any(embeds(words[f], word) for f in found):
+                continue
+            b, b_sums = keys[j], sums[j]
+            for name, label, pre, post, pruning in steps:
+                image = _pre_image(b, b_sums, pre, post, pruning)
+                if image is None:
+                    continue
+                cell = word if label == EPSILON else basis.cell(label, word)
+                if found and any(embeds(words[f], cell) for f in found):
+                    continue
+                k = basis.add(image[0], cell)
+                if k < 0:
+                    continue
+                if k >= max_nodes:
+                    raise BudgetExceeded("backward pairs", max_nodes)
+                sums.append(image[1])
+                chain.append((name, j))
+                if all(map(ge, m0, image[0])):
+                    found = [f for f in found if not embeds(cell, words[f])] + [k]
+                else:
+                    new_frontier.append(k)
+        frontier = new_frontier
+    found = ((basis.spell(words[f]), _run(chain, f)) for f in found)
+    return sorted(found, key=lambda pair: (len(pair[0]), pair[0]))
 
 
 def is_coverable(inst: NetInstance) -> bool:

@@ -14,7 +14,6 @@ from covlang.closures import (
     minimal_word_length_bounds,
     pump_threshold,
     uc_fsa,
-    uc_fsa_bpp,
 )
 from covlang.families import (
     ackermann_instance,
@@ -104,7 +103,7 @@ def test_criterion_2_power_family_closures():
         inst = bpp_power_instance(n)
         started = time.perf_counter()
         dc = dc_fsa_pn(inst).fsa
-        uc = uc_fsa_bpp(inst)
+        uc = uc_fsa(inst).fsa
         size = minimal_dfa_size(dc)
         elapsed = time.perf_counter() - started
         limit = 2**n

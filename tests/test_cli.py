@@ -258,7 +258,7 @@ class TestExportAndErrors:
         argv = ["--budget-nodes", "1", "closure", "--dir", "up"]
         code, out, err = run_cli(argv, stdin_text=rackoff_doc)
         assert code == 2 and out == ""
-        assert "budget of 1 exceeded" in err
+        assert "backward pairs budget of 1 exceeded" in err
 
     def test_closure_up_k_mode_keeps_node_budget(self):
         doc = print_net(bpp_power_instance(4))

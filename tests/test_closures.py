@@ -1,12 +1,16 @@
+import importlib.util
 import itertools
 import random
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from corpus import random_net
-from covlang import closures
+from covlang import cli, closures, reach
 from covlang.closures import (
+    _basis_dfa,
     bpp_cutoff_bound,
     bpp_short_bound,
     dc_fsa_bpp,
@@ -21,7 +25,7 @@ from covlang.closures import (
     uc_fsa_bpp,
 )
 from covlang.errors import BudgetExceeded, NotBpp
-from covlang.families import bpp_power_instance, rackoff_counterexample
+from covlang.families import ackermann_instance, bpp_power_instance, rackoff_counterexample
 from covlang.fsa import (
     Fsa,
     _subsets,
@@ -37,11 +41,20 @@ from covlang.fsa import (
     saturate_up,
     trim_coaccessible,
 )
-from covlang.nets import EPSILON, Marking, NetInstance, PetriNet, Transition, is_bpp
-from covlang.reach import OMEGA, _semiflows, brute_force_language, km_graph, member
+from covlang.nets import (
+    EPSILON,
+    Marking,
+    NetInstance,
+    PetriNet,
+    Transition,
+    is_bpp,
+    subword,
+    sync_with_fsa,
+)
+from covlang.reach import OMEGA, _semiflows, brute_force_language, coverable, km_graph, member
 from covlang.sre import OptionalLetter, Product, Star
 from covlang.sre_inclusion import ideal_inclusion
-from covlang.textio import print_fsa
+from covlang.textio import print_fsa, print_net
 from covlang.trace_inclusion import is_closed
 
 
@@ -193,10 +206,8 @@ class TestUcFsa:
     @pytest.mark.parametrize("bpp, size", [(False, 4), (True, 3)])
     def test_exact_agrees_with_membership(self, bpp, size):
         """On synchronizing and on communication-free nets the exact closure
-        accepts a word iff backward coverability puts it in uc(L).  The
-        communication-free nets have the sre-corpus shape: with four places
-        and four transitions the short-run bound reaches up to 256 steps, and
-        some explorations that deep outgrow the default budget."""
+        accepts a word iff backward coverability on the product net with the
+        word's automaton puts it in uc(L)."""
         rng = random.Random(2027)
         nets = 0
         while nets < 500:
@@ -225,6 +236,9 @@ class TestUcFsa:
 
 
 class TestUcFsaBpp:
+    """The wrapper that the benchmark calls: ``uc_fsa``'s automaton behind
+    a communication-free guard."""
+
     def test_power_language(self, power2):
         assert equivalent(uc_fsa_bpp(power2), chain_fsa(4, at_least=True))
 
@@ -245,21 +259,160 @@ class TestUcFsaBpp:
     def test_unbounded_net_fires_nothing_when_the_final_marking_is_empty(
         self, monkeypatch
     ):
-        """The short-run bound of an empty final marking is 0 steps, so the
-        exploration stops at the initial marking however far the net grows."""
+        """The empty final marking lies below the initial one, so the
+        saturation answers the empty word at once however far the net
+        grows: no transition is fired backward, and one state is built."""
         net = PetriNet(("a",), ("p",), (Transition.make("t", "a", {"p": 1}, {"p": 2}),))
         inst = NetInstance(net, Marking.of(net, {"p": 1}), Marking.zero(net))
         calls = []
-        real_fire = closures.fire
+        real_pre_image = reach._pre_image
 
-        def fire(*args):
+        def pre_image(*args):
             calls.append(args)
-            return real_fire(*args)
+            return real_pre_image(*args)
 
-        monkeypatch.setattr(closures, "fire", fire)
-        closure = uc_fsa_bpp(inst)
+        monkeypatch.setattr(reach, "_pre_image", pre_image)
+        closure = uc_fsa_bpp(inst, max_states=1)
         assert equivalent(closure, chain_fsa(0, at_least=True))
         assert calls == []
+
+
+def _reference_uc_fsa(inst, max_states):
+    """The guess-and-certify closure that the pair saturation replaced (Valk
+    and Jantzen 1985): grow a basis W of words of the language while the net
+    synchronized with the complement of uc(W) covers its final marking, each
+    time adding the word of the run found and dropping the words of W that
+    contain it."""
+    basis = []
+    while True:
+        inside = _basis_dfa(inst.net.alphabet, basis, max_states)
+        outside = Fsa.from_out_edges(
+            inside.alphabet, inside.out_edges(), inside.initial, inside.states - inside.finals
+        )
+        synced = sync_with_fsa(inst.net, outside, "full")
+        found, run = coverable(synced.make_instance(inst), max_states)
+        if not found:
+            return inside
+        labels = (synced.net.transition(name).label for name in run)
+        w = tuple(x for x in labels if x != EPSILON)
+        basis = [u for u in basis if not subword(w, u)] + [w]
+
+
+def _reference_uc_fsa_bpp(inst, max_states):
+    """The communication-free closure that the pair saturation replaced:
+    every minimal word has a covering run of at most ``bpp_short_bound``
+    steps, so the saturated automaton of the markings reachable within that
+    many steps is the upward closure."""
+    return saturate_up(reachability_fsa(inst, bpp_short_bound(inst).value, max_states))
+
+
+def _agrees_with(reference, inst, budget):
+    """uc_fsa's language equals the reference's; None when the reference
+    overruns its budget."""
+    try:
+        expected = reference(inst, budget)
+    except BudgetExceeded:
+        return None
+    return equivalent(uc_fsa(inst).fsa, expected)
+
+
+class TestUcFsaMatchesTheReferences:
+    """The differential gate of the pair saturation against the two
+    constructions it replaced, wherever the reference finishes within 200
+    states or markings."""
+
+    @pytest.mark.parametrize(
+        "seed, bpp, reference, least",
+        [(2027, True, _reference_uc_fsa_bpp, 1_350), (7, False, _reference_uc_fsa, 1_450)],
+        ids=["communication-free", "synchronizing"],
+    )
+    def test_seeded_draws(self, seed, bpp, reference, least):
+        rng = random.Random(seed)
+        compared = draws = 0
+        while draws < 1_500:
+            inst = random_net(
+                rng, max_places=4, max_transitions=4, max_weight=2, bpp=bpp
+            )
+            if is_bpp(inst.net) != bpp:
+                continue
+            draws += 1
+            same = _agrees_with(reference, inst, 200)
+            assert same is not False, draws
+            compared += same is not None
+        assert compared >= least, compared
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_power_closed_forms(self, n):
+        closure = uc_fsa(bpp_power_instance(n)).fsa
+        assert minimal_dfa_size(closure) == 2**n + 1
+        assert equivalent(closure, chain_fsa(2**n, at_least=True))
+
+    def test_rackoff_counterexample(self, rackoff_ce):
+        assert _agrees_with(_reference_uc_fsa, rackoff_ce, 200_000)
+
+    @pytest.mark.parametrize("n, x", [(1, 2), (2, 0), (2, 1), (2, 2), (3, 0)])
+    def test_ackermann(self, n, x):
+        assert _agrees_with(_reference_uc_fsa, ackermann_instance(n, x), 200_000)
+
+
+def _random111():
+    """The 112th random net of the benchmark's general-nets workload at
+    seed 601, drawn by ``perfbench/workloads.py``, loaded without changing
+    it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module._draw_nets(random.Random(601), module.RANDOM_NETS, False)[111][0]
+
+
+def _communication_free_draw(number):
+    """Draw ``number`` (from 0) of the seed-2027 communication-free stream."""
+    rng = random.Random(2027)
+    for _ in range(number + 1):
+        inst = random_net(rng, max_places=4, max_transitions=4, max_weight=2, bpp=True)
+    return inst
+
+
+def _cli(tmp_path, capsys, inst, *argv):
+    path = tmp_path / "net.txt"
+    path.write_text(print_net(inst))
+    code = cli.main(["-f", str(path), *argv])
+    return code, capsys.readouterr().out
+
+
+def _assert_not_closed_upward(out, inst):
+    """``is-closed --dir up`` printed a counterexample in uc(L) but not in L."""
+    assert out.startswith("not-closed counterexample ")
+    word = out.split()[-1]
+    w = () if word == "eps" else tuple(word.split(","))
+    assert member(w, inst, "up") and not member(w, inst, "exact")
+
+
+class TestNetsThatNowAnswer:
+    """Nets on which the replaced constructions overran: the short-run
+    exploration on communication-free draws 257, 272 and 294 of the seed-2027
+    stream (after about 10 s each), and guess-and-certify on the benchmark's
+    ``random111``, its `is-closed --dir up` past every deadline."""
+
+    @pytest.mark.parametrize("number", [257, 272, 294])
+    def test_communication_free_draws(self, tmp_path, capsys, number):
+        inst = _communication_free_draw(number)
+        code, out = _cli(tmp_path, capsys, inst, "closure", "--dir", "up")
+        assert code == 0 and out.startswith("# exactness: exact\n")
+        code, out = _cli(tmp_path, capsys, inst, "is-closed", "--dir", "up")
+        if code == 0:
+            assert out == "closed\n"
+        else:
+            assert code == 1
+            _assert_not_closed_upward(out, inst)
+
+    def test_random111(self, tmp_path, capsys):
+        inst = _random111()
+        code, out = _cli(tmp_path, capsys, inst, "is-closed", "--dir", "up")
+        assert code == 1
+        _assert_not_closed_upward(out, inst)
 
 
 class TestDcFsaBpp:

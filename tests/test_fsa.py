@@ -22,7 +22,7 @@ from covlang.fsa import (
     trim_coaccessible,
     word_fsa,
 )
-from covlang.closures import dc_fsa_pn, uc_fsa_bpp
+from covlang.closures import dc_fsa_pn, uc_fsa
 from covlang.families import bpp_power_instance
 from covlang.nets import EPSILON, subword
 
@@ -182,7 +182,7 @@ class TestMinimalDfaSize:
     def test_power_family_closed_forms(self, n):
         inst = bpp_power_instance(n)
         assert minimal_dfa_size(dc_fsa_pn(inst).fsa) == 2**n + 2
-        assert minimal_dfa_size(uc_fsa_bpp(inst)) == 2**n + 1
+        assert minimal_dfa_size(uc_fsa(inst).fsa) == 2**n + 1
 
 
 _NAMES = [*range(10), -1, (0,), (1, "x"), ((), None), None, "q", ("q", 0)]

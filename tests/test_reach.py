@@ -40,6 +40,7 @@ from covlang.reach import (
     km_graph,
     longest_run_length,
     member,
+    minimal_words,
     om_accelerate,
     om_fire,
     simultaneously_unbounded,
@@ -833,6 +834,80 @@ class TestIndexedCoverable:
         assert query(inserted)
         with pytest.raises(BudgetExceeded):
             query(inserted - 1)
+
+
+class TestMinimalWords:
+    """The backward saturation over (marking, word) pairs."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_power_budget_counts_the_inserted_pairs(self, n):
+        """bpp-power(n) inserts 2^n + 2 pairs: (M_f, ()), one per letter
+        step back to p1:2^n, and the initial marking; a semiflow rules out
+        every other pre-image of the silent step."""
+        inst = bpp_power_instance(n)
+        words = minimal_words(inst, 2**n + 2)
+        assert words == [(("a",) * 2**n, ["t"] + ["ta"] * 2**n)]
+        with pytest.raises(BudgetExceeded) as err:
+            minimal_words(inst, 2**n + 1)
+        assert (err.value.kind, err.value.budget) == ("backward pairs", 2**n + 1)
+
+    def test_rackoff_counterexample(self, rackoff_ce):
+        assert minimal_words(rackoff_ce) == [(("c",), ["rt_a"]), (("a", "b"), ["rt_help", "rt_b"])]
+
+    def test_covered_final_marking_gives_the_empty_word(self, rackoff_ce):
+        inst = NetInstance(rackoff_ce.net, rackoff_ce.initial, Marking.zero(rackoff_ce.net))
+        assert minimal_words(inst, 0) == [((), [])]
+
+    def test_semiflow_rules_out_the_final_marking(self, power2):
+        inst = NetInstance(power2.net, power2.initial, Marking.of(power2.net, {"pf": 5}))
+        assert minimal_words(inst) == []
+
+    def test_a_smaller_marking_with_a_longer_word_keeps_the_larger_pair(self):
+        """One layer back from q:1 holds (p:2, ()) through the silent step
+        and then (p:1, x): incomparable, the second has the smaller marking
+        and the longer word.  Only the first leads back to m0 = s:1 with
+        the empty word, so L's one minimal word is ()."""
+        net = PetriNet(
+            ("x", "y"),
+            ("s", "p", "q"),
+            (
+                Transition.make("ts", EPSILON, {"s": 1}, {"p": 2}),
+                Transition.make("ty", "y", {"s": 1}, {"p": 1}),
+                Transition.make("tsil", EPSILON, {"p": 2}, {"q": 1}),
+                Transition.make("tx", "x", {"p": 1}, {"q": 1}),
+            ),
+        )
+        inst = NetInstance(net, Marking.of(net, {"s": 1}), Marking.of(net, {"q": 1}))
+        assert minimal_words(inst) == [((), ["ts", "tsil"])]
+
+    def test_runs_replay_and_the_words_are_minimal(self):
+        """Each word comes with the run that its pair chain spells: the run
+        fires from m0, covers M_f and reads the word.  No word of L lies
+        strictly below one of the words: deleting any one letter leaves a
+        word outside uc(L), by backward coverability on the product net."""
+        rng = random.Random(2033)
+        seen = {"no word": 0, "two words or more": 0, "silent steps": 0, "long word": 0}
+        for i in range(1_000):
+            inst = random_net(
+                rng, ("a", "b", "c"), max_places=4, max_transitions=6, bpp=i % 2 == 0
+            )
+            if i % 3 == 0:
+                final = Marking(tuple(rng.randint(0, 3) for _ in inst.net.places))
+                inst = NetInstance(inst.net, inst.initial, final)
+            words = minimal_words(inst, 5_000)
+            net = inst.net
+            for w, run in words:
+                assert fire_sequence(net, inst.initial, run).covers(inst.final), (i, w)
+                labels = [net.transition(name).label for name in run]
+                assert tuple(x for x in labels if x != EPSILON) == w, (i, run)
+                seen["silent steps"] += EPSILON in labels
+                seen["long word"] += len(w) >= 4
+                for k in range(len(w)):
+                    assert not member(w[:k] + w[k + 1:], inst, "up"), (i, w, k)
+            assert len({w for w, _run in words}) == len(words)
+            seen["no word"] += not words
+            seen["two words or more"] += len(words) >= 2
+        assert min(seen.values()) >= 30, seen
 
 
 class TestLongestRun:
