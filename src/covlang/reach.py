@@ -7,10 +7,10 @@ Omega is ``math.inf`` (``OMEGA``) in every omega-marking, so a dominance
 test is Python's own ``>=``.  One accelerated search over omega-markings
 serves ``km_graph`` (the whole graph), ``simultaneously_unbounded``
 (keeps only the cover set and stops at the first node that is omega on every
-target place), ``forward_cover`` on nets that are not conservative (the
-cover set again, stopping at the first node that covers the final marking)
-and ``trace_inclusion.silent_closure`` (silent transitions only, from
-several roots).  Its dominance tests rest on one fact: a marking
+target place), and, on nets that are not conservative, ``forward_cover``
+(the cover set again, stopping at the first node that covers the final
+marking) and ``trace_inclusion.silent_closure`` (silent transitions only,
+from several roots).  Its dominance tests rest on one fact: a marking
 strictly below another has a strictly lower rank (omega count, then finite
 token sum) and a support inside the other's.  Each node keeps its rank, its
 support bitmask and a pointer to its nearest proper ancestor of lower rank,
@@ -19,14 +19,16 @@ cover set and the antichain of ``trace_inclusion._maximal`` are indexed by
 support (``_SupportIndex``): one bitmask per place of the markings holding a
 token or omega there.  On a conservative net, where the minimal-support
 P-semiflows cover every place (``conservative``) and no acceleration fires,
-``forward_cover`` is a breadth-first search over concrete markings instead.
+``forward_cover`` and ``silent_closure`` run one breadth-first search over
+concrete markings instead (``_reachable``), with a visited set and no
+dominance tests.
 
 Backward coverability (``coverable``, and ``member`` through it) saturates an
 antichain of minimal markings from the final marking.  The antichain
 (``UpwardClosedSet``) is indexed by support with the same ``_SupportIndex``,
 so forward and backward dominance tests share one index.  It drops every
 marking m with y . m > y . m0 for a minimal-support P-semiflow y of the net
-(computed once per call by the Farkas algorithm), and it raises
+(computed once per net by the Farkas algorithm), and it raises
 BudgetExceeded past ``max_nodes`` inserted markings.
 
 The minimal words of the language (``minimal_words``, which every upward
@@ -450,15 +452,26 @@ class UpwardClosedSet:
 SEMIFLOW_ROWS = 512
 
 
-def _semiflows(net: PetriNet) -> list:
+def _semiflows(net: PetriNet) -> tuple:
     """Minimal-support P-semiflows of the net, as sparse (place-index, weight)
     tuples: vectors y >= 0, y != 0, with y . (post(t) - pre(t)) = 0 for every
     transition t.
 
     Farkas algorithm in exact integers over the table [C | I], one transition
     column at a time, keeping only rows of minimal support (Martinez-Silva,
-    1982).  Returns [] when the table would outgrow SEMIFLOW_ROWS.
+    1982).  Returns () when the table would outgrow SEMIFLOW_ROWS.  Computed
+    once per net and kept in its ``__dict__``, as ``place_index`` and
+    ``arcs`` are.
     """
+    flows = net.__dict__.get("_semiflows")
+    if flows is None:
+        flows = _farkas(net)
+        object.__setattr__(net, "_semiflows", flows)
+    return flows
+
+
+def _farkas(net: PetriNet) -> tuple:
+    """The semiflows of ``_semiflows``, computed afresh."""
     idx = net.place_index
     n = len(net.places)
     effect = [[0] * len(net.transitions) for _ in range(n)]
@@ -474,7 +487,7 @@ def _semiflows(net: PetriNet) -> list:
         pos = [r for r in rows if r[0][j] > 0]
         neg = [r for r in rows if r[0][j] < 0]
         if len(kept) + len(pos) * len(neg) > SEMIFLOW_ROWS:
-            return []
+            return ()
         # one combination per support: rows of equal minimal support are
         # proportional, and the rest are dropped below
         fresh = {}
@@ -497,7 +510,7 @@ def _semiflows(net: PetriNet) -> list:
             for support, row in fresh.items()
             if not any(s != support and s & support == s for s in supports)
         ]
-    return [tuple((i, v) for i, v in enumerate(y) if v) for _c, y, _s in rows]
+    return tuple(tuple((i, v) for i, v in enumerate(y) if v) for _c, y, _s in rows)
 
 
 def conservative(net: PetriNet) -> bool:
@@ -506,10 +519,35 @@ def conservative(net: PetriNet) -> bool:
     Their sum y is then positive on every place, and y . m is the same on
     every reachable marking, so no marking lies strictly above one it was
     reached from: no acceleration fires, and finitely many markings are
-    reachable (Memmi-Roucairol 1980, Lautenbach 1987).  ``dc_fsa_pn`` and
-    ``forward_cover`` explore such nets over concrete markings.
+    reachable (Memmi-Roucairol 1980, Lautenbach 1987).  ``dc_fsa_pn``,
+    ``forward_cover`` and ``trace_inclusion.silent_closure`` explore such
+    nets over concrete markings (``_reachable``).  A net with a transition
+    that puts a positive weight on only one of its pre- and post-arcs is not
+    conservative, and is answered without the Farkas table.
     """
-    return len({i for y in _semiflows(net) for i, _v in y}) == len(net.places)
+    return _positive_semiflow(net) is not None
+
+
+def _positive_semiflow(net: PetriNet) -> tuple | None:
+    """The sum y of the net's minimal-support P-semiflows, as a dense tuple,
+    when it is positive on every place, else None; kept in the net's
+    ``__dict__``.  On a conservative net every run keeps y . m, and a
+    marking strictly below another has a strictly smaller y . m."""
+    d = net.__dict__
+    if "_positive_semiflow" not in d:
+        y = None
+        if not any(
+            any(w for _i, w in pre) != any(w for _i, w in post)
+            for _label, pre, post in net.arcs.values()
+        ):
+            total = [0] * len(net.places)
+            for flow in _semiflows(net):
+                for i, v in flow:
+                    total[i] += v
+            if all(total):
+                y = tuple(total)
+        object.__setattr__(net, "_positive_semiflow", y)
+    return d["_positive_semiflow"]
 
 
 def covering(final: Marking):
@@ -532,8 +570,8 @@ def forward_cover(
     """Some firing sequence of the named transitions leads from m0 to a
     marking that covers ``final``; the search stops at the first such marking.
 
-    On a conservative net (``conservative``) it is a breadth-first search
-    over concrete markings with a visited set.  Elsewhere it is the
+    On a conservative net (``conservative``) it is the breadth-first search
+    over concrete markings (``_reachable``).  Elsewhere it is the
     accelerated search that keeps only the cover set (``_accelerated_search``
     with a stop predicate); its quadratic cover-set test would gain nothing
     on a conservative net, whose reachable markings can be pairwise
@@ -541,18 +579,35 @@ def forward_cover(
     BudgetExceeded("karp-miller nodes"); in the breadth-first search the
     covering marking counts as a node, so it needs as many nodes as
     ``dc_fsa_pn``'s reachability graph has when that marking comes last.
+    An initial marking that already covers ``final`` is answered without the
+    semiflows.
     """
     covers = covering(final)
     start = tuple(m0.counts)
     if covers(start):
         return True
-    if not conservative(net):
-        return _accelerated_search(
-            net, [start], names, max_nodes, "karp-miller nodes", stop=covers
-        ).found
+    if conservative(net):
+        return _reachable(net, [start], names, max_nodes, "karp-miller nodes", covers) is None
+    return _accelerated_search(
+        net, [start], names, max_nodes, "karp-miller nodes", stop=covers
+    ).found
+
+
+def _reachable(net: PetriNet, roots, names, max_nodes: int, budget_kind: str, stop=None):
+    """Breadth-first search over concrete markings from the given roots,
+    firing the named transitions in order: the set of the markings reached,
+    roots included, or None as soon as a marking beyond the roots satisfies
+    ``stop``.
+
+    A new marking beyond ``max_nodes`` raises BudgetExceeded(budget_kind);
+    it counts before ``stop`` is tested.  On a conservative net, and from
+    concrete roots, these are the nodes of the accelerated search, since no
+    acceleration fires.  The markings are kept in a set and returned in its
+    order.
+    """
     steps = [net.arcs[name][1:] for name in names]
-    seen = {start}
-    queue = deque([start])
+    seen = set(roots)
+    queue = deque(seen)
     while queue:
         m = queue.popleft()
         for pre, post in steps:
@@ -560,12 +615,12 @@ def forward_cover(
             if succ is None or succ in seen:
                 continue
             if len(seen) >= max_nodes:
-                raise BudgetExceeded("karp-miller nodes", max_nodes)
-            if covers(succ):
-                return True
+                raise BudgetExceeded(budget_kind, max_nodes)
+            if stop is not None and stop(succ):
+                return None
             seen.add(succ)
             queue.append(succ)
-    return False
+    return seen
 
 
 def _backward_steps(net: PetriNet, m0: tuple, final: tuple):

@@ -8,9 +8,12 @@ antichain tests compare markings with Python's own ``>=``.  Silent net
 transitions are closed off with acceleration, so silent pumps become omega
 and the tree stays finite; nodes dominating an ancestor with the same
 automaton component are pruned.
-The silent closure is the accelerated search of ``reach``, restricted to
-silent transitions and started from every distinct marking one letter reaches.
-Its antichain is computed in one pass: markings in descending order of rank
+The silent closure starts from every distinct marking one letter reaches and
+fires silent transitions only.  On a conservative net it is the breadth-first
+search over concrete markings of ``reach._reachable``, whose markings, all on
+one level of the net's positive semiflow, are the antichain as they are.
+Elsewhere it is the accelerated search of ``reach``, and its antichain is
+computed in one pass: markings in descending order of rank
 (omega count, then finite token sum), each compared only with kept markings
 of strictly higher rank whose support contains its own, found through one
 bitmask per place of the kept markings holding a token or omega there.
@@ -37,13 +40,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from operator import ge
+from operator import ge, mul
 
 from .closures import dc_fsa_pn, uc_fsa
 from .errors import BudgetExceeded
 from .fsa import Fsa, _coaccessible, _shortest_word, _subsets
 from .nets import EPSILON, Marking, NetInstance, PetriNet
-from .reach import _accelerated_search, _rank, _SupportIndex, covering, forward_cover, om_fire
+from .reach import (
+    OMEGA,
+    _accelerated_search,
+    _positive_semiflow,
+    _rank,
+    _reachable,
+    _SupportIndex,
+    covering,
+    forward_cover,
+    om_fire,
+)
 
 
 def _maximal(markings, ranks=None) -> tuple:
@@ -76,27 +89,36 @@ def _maximal(markings, ranks=None) -> tuple:
     return tuple(sorted(kept, key=repr))
 
 
-def silent_closure(net: PetriNet, markings, max_nodes: int = 50_000):
-    """All markings reachable through silent transitions, with acceleration.
+def silent_closure(net: PetriNet, markings, max_nodes: int = 50_000) -> tuple:
+    """The antichain of the maximal markings reachable through silent
+    transitions from the given ones, with acceleration.
 
     Silent pumps preserve the trace, so a place they can grow without bound is
-    exact as omega for trace matching.  Returns (antichain, certificates);
-    each certificate maps a closure marking to (source, fired-sequence,
-    accelerated-flag of the last step) for replay in tests: fire the sequence
-    from the source, accelerating each step against the markings replayed so
-    far.
+    exact as omega for trace matching.  A net without silent transitions
+    closes nothing off: the antichain is that of the markings themselves.
+
+    On a conservative net (``reach.conservative``), from concrete markings,
+    no acceleration fires, and the closure is the breadth-first search over
+    concrete markings (``reach._reachable``).  Every run keeps y . m for the
+    positive semiflow y, and a marking strictly below another has a smaller
+    y . m, so when the markings share one value of y . m, as on every trace
+    from m0, the markings reached are the antichain, in set order.  From
+    several values, ``_maximal`` still takes the antichain.  Elsewhere the
+    closure is the accelerated search of ``reach``, and its antichain
+    ``_maximal``.  More than ``max_nodes`` markings raise
+    BudgetExceeded("silent-closure nodes").
     """
     silent = [t.name for t in net.transitions if t.label == EPSILON]
+    if not silent:
+        return _maximal(markings)
+    y = _positive_semiflow(net)
+    if y is not None:
+        levels = {sum(map(mul, y, m)) for m in markings}
+        if OMEGA not in levels:
+            reached = _reachable(net, markings, silent, max_nodes, "silent-closure nodes")
+            return tuple(reached) if len(levels) == 1 else _maximal(reached)
     search = _accelerated_search(net, markings, silent, max_nodes, "silent-closure nodes")
-    certificates = {}
-    for node, step in zip(search.nodes, search.parents):
-        if step is None:
-            certificates[node] = (node, (), False)
-        else:
-            parent, name, accelerated = step
-            source, fired, _ = certificates[search.nodes[parent]]
-            certificates[node] = (source, fired + (name,), accelerated)
-    return _maximal(search.nodes, search.ranks), certificates
+    return _maximal(search.nodes, search.ranks)
 
 
 def _net_steps(net: PetriNet):
@@ -117,7 +139,7 @@ def _letter_step(net: PetriNet, s, arcs, max_nodes: int) -> tuple:
             succ = om_fire(m, pre, post)
             if succ is not None:
                 moved[succ] = None
-    return silent_closure(net, moved, max_nodes)[0]
+    return silent_closure(net, moved, max_nodes)
 
 
 def _enabled(s, arcs) -> bool:
@@ -165,7 +187,7 @@ def _search(
     search that ends before it never trims it.
     """
     by_label = _net_steps(net)
-    start_s, _ = silent_closure(net, [tuple(m0.counts)], max_nodes)
+    start_s = silent_closure(net, [tuple(m0.counts)], max_nodes)
     if goal is not None:
         accepting, final = goal
         covers = covering(final)
@@ -218,7 +240,7 @@ def _search(
 def net_has_trace(net: PetriNet, m0: Marking, w, max_nodes: int = 50_000) -> bool:
     """Exact check that some firing sequence is labeled by the given word."""
     by_label = _net_steps(net)
-    s, _ = silent_closure(net, [tuple(m0.counts)], max_nodes)
+    s = silent_closure(net, [tuple(m0.counts)], max_nodes)
     for x in w:
         s = _letter_step(net, s, by_label.get(x, ()), max_nodes)
         if not s:

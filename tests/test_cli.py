@@ -360,14 +360,24 @@ class TestDeterminism:
 
     def test_output_does_not_depend_on_the_hash_seed(self, rackoff_doc, tmp_path):
         """Automata built from sets of triples or of string-named states list
-        their rows in hash order; what the verbs print does not."""
+        their rows in hash order, and the silent closures of conservative
+        nets list their markings in set order; what the verbs print does
+        not depend on either."""
         automaton = tmp_path / "hand.fsa"
         automaton.write_text(
             "alphabet a b c\nstate start initial\nstate mid\nstate end final\n"
             "state loop final\nedge start a mid\nedge mid c end\nedge mid b loop\n"
             "edge loop c loop\nedge loop eps end\nedge start c end\n"
         )
+        # a^k for every k <= A_2(1) + 1 = 6, one word past the language
+        chain = tmp_path / "chain.fsa"
+        chain.write_text(
+            "alphabet a\n"
+            + "".join(f"state q{k}{' initial' if k == 0 else ''} final\n" for k in range(7))
+            + "".join(f"edge q{k} a q{k + 1}\n" for k in range(6))
+        )
         power3_doc = print_net(bpp_power_instance(3))
+        ackermann_doc = print_net(ackermann_instance(2, 1))
         runs = [
             *(
                 (["closure", "--dir", direction], doc)
@@ -377,6 +387,8 @@ class TestDeterminism:
             (["km"], print_net(ackermann_instance(1, 1))),
             (["is-closed", "--dir", "up"], rackoff_doc),
             (["reg-in", "-a", str(automaton)], rackoff_doc),
+            (["reg-in", "-a", str(chain)], ackermann_doc),
+            (["is-closed", "--dir", "down"], ackermann_doc),
         ]
         script = (
             "import io, json, sys\n"
@@ -401,6 +413,7 @@ class TestDeterminism:
         assert outputs["0"] == outputs["1"] == outputs["2"]
         assert outputs["0"].count("exit ") == len(runs)
         assert "not-included counterexample a,b,c\n" in outputs["0"]
+        assert "not-included counterexample a,a,a,a,a,a\n" in outputs["0"]
 
 
 def _readme_cli_section():

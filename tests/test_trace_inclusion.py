@@ -1,6 +1,6 @@
 import random
 from collections import deque
-from operator import ge
+from operator import ge, mul
 
 import pytest
 
@@ -18,9 +18,11 @@ from covlang.nets import (
     append_final_letter,
     fire,
 )
-from covlang import trace_inclusion
+from covlang import reach, trace_inclusion
 from covlang.reach import (
     OMEGA,
+    _accelerated_search,
+    _positive_semiflow,
     _rank,
     _Tree,
     conservative,
@@ -213,7 +215,7 @@ class TestSilentClosure:
                 Transition.make("tb", "b", {"q": 3}, {}),
             ),
         )
-        closure, _ = silent_closure(net, [(1, 0)])
+        closure = silent_closure(net, [(1, 0)])
         assert closure == ((1, OMEGA),)
 
     def test_omegas_are_justified_by_concrete_pumps(self):
@@ -222,7 +224,7 @@ class TestSilentClosure:
             inst = random_net(rng, max_places=3, max_transitions=3)
             net = inst.net
             start = tuple(inst.initial.counts)
-            closure, _certs = silent_closure(net, [start])
+            closure = silent_closure(net, [start])
             for target in closure:
                 omegas = [i for i, v in enumerate(target) if v == OMEGA]
                 if not omegas:
@@ -244,7 +246,8 @@ class TestSilentClosure:
         for _ in range(200):
             inst = random_net(rng, eps_ratio=0.6)
             roots = [tuple(inst.initial.counts), tuple(inst.final.counts)]
-            _closure, certs = silent_closure(inst.net, roots)
+            certs = silent_certificates(inst.net, roots)
+            assert set(silent_closure(inst.net, roots)) <= set(certs)
             for node, (source, fired, flag) in certs.items():
                 assert source in roots
                 path = _Tree(len(inst.net.places))
@@ -262,6 +265,25 @@ class TestSilentClosure:
                 accelerated += flag
                 chained += len(fired) > 1
         assert replayed > 400 and accelerated > 50 and chained > 30
+
+
+def silent_certificates(net, markings, max_nodes=50_000):
+    """Each node of the accelerated silent search from ``markings`` (the one
+    ``silent_closure`` runs on nets that are not conservative), mapped to
+    (source, fired-sequence, accelerated-flag of the last step) for replay:
+    fire the sequence from the source, accelerating each step against the
+    markings replayed so far."""
+    silent = [t.name for t in net.transitions if t.label == EPSILON]
+    search = _accelerated_search(net, markings, silent, max_nodes, "silent-closure nodes")
+    certificates = {}
+    for node, step in zip(search.nodes, search.parents):
+        if step is None:
+            certificates[node] = (node, (), False)
+        else:
+            parent, name, accelerated = step
+            source, fired, _ = certificates[search.nodes[parent]]
+            certificates[node] = (source, fired + (name,), accelerated)
+    return certificates
 
 
 def _silent_run_reaches(net, start, goal, max_states=60_000):
@@ -295,6 +317,158 @@ def _silent_run_reaches(net, start, goal, max_states=60_000):
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+def _accelerated_closure(net, roots, max_nodes):
+    """The silent closure as the accelerated search and ``_maximal`` take it
+    on every net, as a set, or the budget it overran."""
+    silent = [t.name for t in net.transitions if t.label == EPSILON]
+    try:
+        search = _accelerated_search(net, roots, silent, max_nodes, "silent-closure nodes")
+    except BudgetExceeded as err:
+        return str(err)
+    return set(_maximal(search.nodes, search.ranks))
+
+
+def _closure_outcome(net, roots, max_nodes):
+    try:
+        return set(silent_closure(net, roots, max_nodes))
+    except BudgetExceeded as err:
+        return str(err)
+
+
+def _recorded_closures(monkeypatch) -> list:
+    """The (net, roots, max_nodes) of every ``silent_closure`` call the trace
+    searches make from now on."""
+    calls = []
+    closure = trace_inclusion.silent_closure
+
+    def recorded(net, markings, max_nodes=50_000):
+        calls.append((net, list(markings), max_nodes))
+        return closure(net, markings, max_nodes)
+
+    monkeypatch.setattr(trace_inclusion, "silent_closure", recorded)
+    return calls
+
+
+class TestConservativeClosure:
+    """On a conservative net the silent closure is a breadth-first search over
+    concrete markings; it must equal the accelerated search and its
+    antichain."""
+
+    def test_matches_the_accelerated_search(self, monkeypatch):
+        rng = random.Random(2701)
+        calls = _recorded_closures(monkeypatch)
+        instances = 0
+        while instances < 500:
+            inst = random_net(rng, max_places=4, max_transitions=4, eps_ratio=0.5)
+            net = inst.net
+            if not conservative(net) or all(t.label != EPSILON for t in net.transitions):
+                continue
+            instances += 1
+            budget = rng.choice((3, 20, 50_000))
+            for a in (random_fsa(rng, alphabet=net.alphabet), random_fsa(rng, alphabet=net.alphabet)):
+                for decide in (regular_included_in_lang, lambda a, i, b: traces_included(a, i.net, i.initial, b)):
+                    try:
+                        decide(a, inst, budget)
+                    except BudgetExceeded:
+                        pass
+            extra = tuple(rng.randint(0, 3) for _ in net.places)
+            for roots in ([inst.initial.counts, inst.final.counts], [inst.initial.counts, extra]):
+                calls.append((net, [tuple(m) for m in roots], budget))
+        for n, x in ((1, 2), (2, 0), (2, 1), (2, 2)):
+            inst = ackermann_instance(n, x)
+            value = ackermann_value(n, x)
+            regular_included_in_lang(_chain_fsa(value + 1, True), inst)
+            for budget in (50_000, 100):
+                calls.append((inst.net, [inst.initial.counts, inst.final.counts], budget))
+        seen = {"one level": 0, "several levels": 0, "over budget": 0}
+        for net, roots, budget in calls:
+            # and the budget that a closure overruns by any marking beyond its roots
+            for max_nodes in (budget, len(set(roots))):
+                expected = _accelerated_closure(net, roots, max_nodes)
+                assert _closure_outcome(net, roots, max_nodes) == expected, (net, roots, max_nodes)
+                seen["over budget"] += isinstance(expected, str)
+            y = _positive_semiflow(net)
+            levels = len({sum(map(mul, y, m)) for m in roots})
+            seen["one level"] += levels == 1
+            seen["several levels"] += levels > 1
+        assert len(calls) > 3_000 and min(seen.values()) > 300, (len(calls), seen)
+
+    def test_conservative_trace_searches_never_accelerate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the accelerated search ran on a conservative net")
+
+        monkeypatch.setattr(reach, "om_accelerate", forbidden)
+        monkeypatch.setattr(trace_inclusion, "_accelerated_search", forbidden)
+        inst = ackermann_instance(2, 1)
+        value = ackermann_value(2, 1)
+        assert regular_included_in_lang(_chain_fsa(value, True), inst) == (True, None)
+        assert is_closed(inst, "up").counterexample == ("a",) * (value + 1)
+        assert is_closed(inst, "down").answer == "yes"
+        rng = random.Random(2702)
+        searched = 0
+        while searched < 50:
+            inst = random_net(rng, eps_ratio=0.5)
+            if conservative(inst.net):
+                a = random_fsa(rng, alphabet=inst.net.alphabet)
+                traces_included(a, inst.net, inst.initial)
+                regular_included_in_lang(a, inst)
+                searched += 1
+
+    def test_other_nets_keep_the_accelerated_search(self, monkeypatch):
+        searches = []
+        search = trace_inclusion._accelerated_search
+
+        def counted(*args, **kwargs):
+            searches.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(trace_inclusion, "_accelerated_search", counted)
+        inst = ackermann_instance(3, 0)
+        assert not conservative(inst.net)
+        assert regular_included_in_lang(_chain_fsa(5, True), inst) == (True, None)
+        assert searches and all(net is inst.net for net in searches)
+
+    def test_budget_boundary(self):
+        """``silent-closure nodes`` is raised exactly when the closure has more
+        than ``max_nodes`` markings, on both searches."""
+        rng = random.Random(2703)
+        ackermann = ackermann_instance(2, 1)
+        cases = [(ackermann.net, tuple(ackermann.initial.counts))]
+        while len(cases) < 60:
+            inst = random_net(rng, eps_ratio=0.6)
+            root = tuple(inst.initial.counts)
+            if conservative(inst.net) and len(silent_closure(inst.net, [root])) > 1:
+                cases.append((inst.net, root))
+        for net, root in cases:
+            size = len(silent_closure(net, [root]))
+            assert _closure_outcome(net, [root], size) == _accelerated_closure(net, [root], size)
+            assert len(silent_closure(net, [root], size)) == size
+            overrun = f"silent-closure nodes budget of {size - 1} exceeded"
+            assert _closure_outcome(net, [root], size - 1) == overrun
+            assert _accelerated_closure(net, [root], size - 1) == overrun
+
+    def test_omega_roots_keep_the_accelerated_search(self):
+        # (omega, 0) -> (omega, 1) -> ... pumps q, and only acceleration ends it
+        net = PetriNet(("a",), ("p", "q"), (Transition.make("move", EPSILON, {"p": 1}, {"q": 1}),))
+        assert conservative(net)
+        assert silent_closure(net, [(OMEGA, 0)], 10) == ((OMEGA, OMEGA),)
+        assert silent_closure(net, [(2, 0), (OMEGA, 0)], 10) == ((OMEGA, OMEGA),)
+
+    def test_no_silent_transition_needs_no_semiflows(self, monkeypatch):
+        def forbidden(net):
+            raise AssertionError("semiflows computed")
+
+        monkeypatch.setattr(reach, "_farkas", forbidden)
+        net = PetriNet(("a",), ("p", "q"), (Transition.make("t", "a", {"p": 1}, {"q": 1}),))
+        assert silent_closure(net, [(1, 0), (0, 1), (1, 0), (0, 0)]) == ((0, 1), (1, 0))
+        one_sided = PetriNet(
+            ("a",), ("p", "q"),
+            (Transition.make("t", "a", {"p": 1}, {"q": 1}), Transition.make("u", EPSILON, {"p": 1}, {})),
+        )
+        assert not conservative(one_sided)
+        assert silent_closure(one_sided, [(2, 0)]) == ((2, 0),)
 
 
 class TestRegularInclusion:
